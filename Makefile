@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-sweep bench-json bench-smoke bench-compare bench-mem shuffle fuzz serve-smoke
+.PHONY: check vet build test race bench bench-sweep bench-json bench-smoke bench-compare bench-mem shuffle fuzz serve-smoke perfbench
 
 # check is the CI gate: vet, build everything, then the full test suite
 # under the race detector — which now covers the intra-study parallel
 # pipeline end to end, including TestWorkerCountInvariance (full-precision
 # StudyResult equality across intra-study worker counts 1/2/4/8 and the
 # sequential engine) — a one-iteration benchmark smoke so the bench path
-# itself cannot rot, and a philly-load self-test against an in-process
-# philly-serve so the service path cannot either.
-check: vet build race bench-smoke serve-smoke
+# itself cannot rot, a philly-load self-test against an in-process
+# philly-serve so the service path cannot either, and the benchmark
+# module's own vet and tests.
+check: vet build race bench-smoke serve-smoke perfbench
 
 vet:
 	$(GO) vet ./...
@@ -79,6 +80,12 @@ bench-json:
 # `make bench-compare THRESHOLD=...` when both baselines carry them.
 bench-mem:
 	$(GO) test -bench FederatedSweepMemory -benchmem -run '^$$' .
+
+# perfbench vets and tests the benchmark module (perfbench/, a Go module of
+# its own that the root ./... does not descend into). It compiles against
+# the simulator's packages, so an API change there breaks it here first.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # serve-smoke boots an in-process philly-serve, drives it with philly-load
 # (open-loop arrivals, repeated specs), and gates on at least one request

@@ -14,6 +14,7 @@
 //
 //	POST   /v1/studies             submit a spec (JSON body; 202 queued,
 //	                               200 cache hit, 400 malformed,
+//	                               413 body over 1 MiB,
 //	                               429 overloaded + Retry-After)
 //	GET    /v1/studies/{id}        status
 //	GET    /v1/studies/{id}/result completed export JSON
@@ -54,6 +55,10 @@ import (
 
 	"philly/internal/serve"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so a stalled connection cannot hold a server goroutine forever.
+const readHeaderTimeout = 10 * time.Second
 
 // weightFlags parses -tenants name:weight[,name:weight...].
 type weightFlags map[string]int
@@ -111,7 +116,9 @@ func main() {
 		RetainJobs:    *retainJobs,
 		TraceDir:      *traceDir,
 	})
-	hs := &http.Server{Addr: *addr, Handler: s.Handler()}
+	// Only the header read is bounded: SSE progress streams and result
+	// downloads are long-lived, so the server sets no WriteTimeout.
+	hs := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()

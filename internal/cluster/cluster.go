@@ -10,8 +10,8 @@
 // and compete for the same free GPUs — so ALL mutations here (Allocate,
 // Release) and all occupancy-dependent queries (FindPlacement, Occupancy,
 // the free-count bucket indexes) are global state in the sense of
-// internal/simulation.Sharded: they may only run in global events at
-// window barriers, never on a VC's event shard. This is the "minimum
+// internal/simulation's per-VC sharding: they may only run in global
+// events at window barriers, never on a VC's event lane. This is the "minimum
 // cross-VC interaction" that bounds the conservative lookahead — two VCs
 // interact exactly when the scheduler consults or mutates this package.
 package cluster

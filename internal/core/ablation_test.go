@@ -24,8 +24,8 @@ func normalizeSearchCounters(res *StudyResult) {
 // the rack-epoch negative-result cache and the speculative candidate
 // searches off must not move a single bit of the StudyResult (outside the
 // counters that report the mechanisms themselves), across the sequential
-// engine at workers {0, 1, 2, 4} and the per-VC sharded engine at shard
-// counts {1, 2, NumVCs} × workers {1, 4}. The federation (Fleet) leg lives
+// engine at workers {0, 1, 2, 4} and per-VC event sharding at workers
+// {1, 4}. The federation (Fleet) leg lives
 // in internal/federation's TestFleetCacheSpeculationAblation.
 func TestCacheSpeculationAblation(t *testing.T) {
 	if testing.Short() {
@@ -67,10 +67,8 @@ func TestCacheSpeculationAblation(t *testing.T) {
 		res, _ := runWithPool(t, off, workers)
 		check(res, "engine off-leg")
 	}
-	for _, shards := range []int{1, 2, 0 /* = NumVCs */} {
-		for _, workers := range []int{1, 4} {
-			res, _ := runShardedWithPool(t, off, shards, workers)
-			check(res, "sharded off-leg")
-		}
+	for _, workers := range []int{1, 4} {
+		res, _ := runShardedWithPool(t, off, workers)
+		check(res, "sharded off-leg")
 	}
 }

@@ -63,16 +63,15 @@ func lowerTickGate(t *testing.T) {
 	t.Cleanup(func() { parallelTickMin = old })
 }
 
-// runShardedWithPool executes one study on the per-VC sharded event engine
-// with the given shard count (0 = one shard per VC) over a pool of the
-// given size (0 = no pool).
-func runShardedWithPool(t *testing.T, cfg Config, shards, workers int) (*StudyResult, *Study) {
+// runShardedWithPool executes one study with per-VC event sharding over a
+// pool of the given size (0 = no pool).
+func runShardedWithPool(t *testing.T, cfg Config, workers int) (*StudyResult, *Study) {
 	t.Helper()
 	st, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.ShardEvents(shards)
+	st.ShardEvents()
 	if workers > 0 {
 		pool := par.NewPool(workers)
 		defer pool.Close()
@@ -90,8 +89,7 @@ func runShardedWithPool(t *testing.T, cfg Config, shards, workers int) (*StudyRe
 // sum, every occupancy sample — must be bit-identical across
 //
 //   - intra-study worker counts 1, 2, 4 and 8 on the sequential engine, and
-//   - the per-VC sharded event engine at shard counts 1, 2 and NumVCs,
-//     each at worker counts 1 and 4,
+//   - per-VC event sharding at worker counts 1 and 4,
 //
 // all against the sequential no-pool engine, for 3 seeds × 2 policies.
 // reflect.DeepEqual compares unexported recorder state too, so this is
@@ -102,7 +100,7 @@ func runShardedWithPool(t *testing.T, cfg Config, shards, workers int) (*StudyRe
 // pins the fused-walk ≡ draw+fold-groups equivalence; workers ≥ 2 add real
 // concurrency (and, under make check, the race detector). The sharded legs
 // additionally pin the window merge: shard-local prepare steps interleave
-// differently across shards than the sequential event order, and the
+// differently across VC lanes than the sequential event order, and the
 // result must not care.
 func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
@@ -148,38 +146,30 @@ func TestWorkerCountInvariance(t *testing.T) {
 						policy, seed, workers)
 				}
 			}
-			// Sharded-event legs: shard counts 1, 2 and NumVCs, with and
-			// without real pool concurrency.
-			for _, shards := range []int{1, 2, 0 /* = NumVCs */} {
-				for _, workers := range []int{1, 4} {
-					res, st := runShardedWithPool(t, cfg, shards, workers)
-					on, n := st.EventSharded()
-					if !on {
-						t.Fatal("sharded run did not use the sharded engine")
-					}
-					if shards > 0 && n != shards {
-						t.Fatalf("shard count = %d, want %d", n, shards)
-					}
-					if !reflect.DeepEqual(seq, res) {
-						diffStudyResults(t, seq, res)
-						t.Fatalf("policy=%v seed=%d shards=%d workers=%d diverged from sequential engine",
-							policy, seed, shards, workers)
-					}
-					ws := st.WindowStats()
-					if ws.LocalEvents == 0 {
-						t.Fatalf("shards=%d: no events ran on the shards", n)
-					}
-					// White-box guard: with more than one shard, the window
-					// merge must actually batch multiple shards into single
-					// windows — shards advancing concurrently in virtual
-					// time — or the sharded path under test degenerated to
-					// a serialized replay. The counter is deterministic (a
-					// function of the event schedule, not of thread timing),
-					// so an exact zero is a real regression.
-					if n > 1 && ws.MultiShardWindows == 0 {
-						t.Fatalf("policy=%v seed=%d shards=%d: no window advanced multiple shards",
-							policy, seed, n)
-					}
+			// Sharded-event legs, with and without real pool concurrency.
+			for _, workers := range []int{1, 4} {
+				res, st := runShardedWithPool(t, cfg, workers)
+				if !st.EventSharded() {
+					t.Fatal("sharded run did not use per-VC event sharding")
+				}
+				if !reflect.DeepEqual(seq, res) {
+					diffStudyResults(t, seq, res)
+					t.Fatalf("policy=%v seed=%d sharded workers=%d diverged from sequential engine",
+						policy, seed, workers)
+				}
+				ws := st.WindowStats()
+				if ws.LocalEvents == 0 {
+					t.Fatal("no events ran on the VC lanes")
+				}
+				// White-box guard: the window merge must actually batch
+				// multiple VC lanes into single windows — lanes advancing
+				// concurrently in virtual time — or the sharded path under
+				// test degenerated to a serialized replay. The counter is
+				// deterministic (a function of the event schedule, not of
+				// thread timing), so an exact zero is a real regression.
+				if ws.MultiShardWindows == 0 {
+					t.Fatalf("policy=%v seed=%d: no window advanced multiple VC lanes",
+						policy, seed)
 				}
 			}
 		}
@@ -189,9 +179,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestMillionEventInvariance is TestWorkerCountInvariance at engine scale:
 // one saturated study processing over a million events (16000 jobs arriving
 // at the small matrix's load factor, so deep queues, preemption churn and
-// telemetry ticks all contribute), bit-compared across the full
-// workers {1, 2, 4} × shards {1, 2, NumVCs} cross product against the
-// sequential no-pool reference. The small matrix catches logic divergence;
+// telemetry ticks all contribute), bit-compared with per-VC event sharding
+// at workers {1, 2, 4} against the sequential no-pool reference. The small matrix catches logic divergence;
 // this leg exists for scale-dependent failure modes — arena growth, the
 // batched arrival/barrier drains, attempt-slice recycling and fold-shard
 // rotation only hit their steady state after thousands of jobs. One seed
@@ -219,36 +208,27 @@ func TestMillionEventInvariance(t *testing.T) {
 	if seq.Sched.SpeculativeCommits == 0 || seq.Sched.CacheShortCircuits == 0 {
 		t.Fatalf("saturated run did not exercise the cached/speculative paths: %+v", seq.Sched)
 	}
-	cells := [][2]int{
-		{1, 1}, {1, 2}, {1, 0 /* = NumVCs */},
-		{2, 1}, {2, 2}, {2, 0},
-		{4, 1}, {4, 2}, {4, 0},
-	}
+	cells := []int{1, 2, 4}
 	if raceDetectorOn {
 		// Under the race detector each million-event run costs minutes, not
-		// seconds; the full 9-cell matrix blows well past any reasonable
-		// package timeout on a single core. Race coverage wants concurrency
-		// shapes, not config breadth — keep the two most-concurrent cells at
-		// full event volume and leave the exhaustive DeepEqual sweep to the
-		// plain run, which executes every cell.
-		cells = [][2]int{{2, 2}, {4, 0}}
+		// seconds. Race coverage wants concurrency shapes, not config
+		// breadth — keep the two concurrent cells at full event volume and
+		// leave the workers=1 DeepEqual leg to the plain run.
+		cells = []int{2, 4}
 	}
-	for _, cell := range cells {
-		workers, shards := cell[0], cell[1]
-		res, st := runShardedWithPool(t, cfg, shards, workers)
+	for _, workers := range cells {
+		res, st := runShardedWithPool(t, cfg, workers)
 		if st.parallelTicks == 0 {
-			t.Fatalf("workers=%d shards=%d never entered the parallel telemetry pipeline",
-				workers, shards)
+			t.Fatalf("workers=%d never entered the parallel telemetry pipeline", workers)
 		}
 		if !reflect.DeepEqual(seq, res) {
 			diffStudyResults(t, seq, res)
-			t.Fatalf("workers=%d shards=%d diverged from sequential engine at scale",
-				workers, shards)
+			t.Fatalf("sharded workers=%d diverged from sequential engine at scale", workers)
 		}
 		ws := st.WindowStats()
 		if ws.Barriers == 0 || ws.Barriers > ws.GlobalEvents {
-			t.Fatalf("workers=%d shards=%d: Barriers = %d with %d globals — batched drain accounting broke",
-				workers, shards, ws.Barriers, ws.GlobalEvents)
+			t.Fatalf("workers=%d: Barriers = %d with %d globals — batched drain accounting broke",
+				workers, ws.Barriers, ws.GlobalEvents)
 		}
 	}
 }

@@ -266,10 +266,11 @@ type Study struct {
 	cfg Config
 
 	// engine is the event executor: the sequential simulation.Engine by
-	// default, or the per-VC simulation.Sharded engine after ShardEvents.
-	// Results are bit-identical either way (see PERFORMANCE.md § PR 4).
+	// default, or a simulation.Fleet with one lane per VC after
+	// ShardEvents. Results are bit-identical either way (see
+	// PERFORMANCE.md).
 	engine  simulation.Executor
-	sharded *simulation.Sharded // non-nil iff engine is sharded
+	sharded *simulation.Fleet // non-nil iff engine is sharded
 	cluster *cluster.Cluster
 	sched   *scheduler.Scheduler
 	util    *perfmodel.Model
@@ -278,15 +279,12 @@ type Study struct {
 	gen     *workload.Generator
 	clf     *joblog.Classifier
 
-	// shardCtxs holds one render context per event shard (per VC by
-	// default). A job's prepare steps always run on its VC's shard, so a
-	// context is never used by two shards at once; the sequential engine
-	// uses the same contexts (one event at a time), which keeps the two
-	// engines trivially identical on this state.
+	// shardCtxs holds one render context per event shard (one per VC). A
+	// job's prepare steps always run on its VC's shard, so a context is
+	// never used by two shards at once; the sequential engine uses the
+	// same contexts (one event at a time), which keeps the two engines
+	// trivially identical on this state.
 	shardCtxs []shardCtx
-	// numShards is the event-shard count jobs are mapped onto (VC index
-	// modulo numShards); it equals NumVCs unless ShardEvents chose less.
-	numShards int
 
 	// hostStreams holds one pre-split stream per server (index = server
 	// ID), splitmix64-derived from (studySeed, serverID): server i's host
@@ -445,7 +443,10 @@ func NewStudy(cfg Config) (*Study, error) {
 		states:    map[cluster.JobID]*jobState{},
 		detReason: map[string]bool{},
 	}
-	s.setNumShards(sched.NumVCs())
+	s.shardCtxs = make([]shardCtx, sched.NumVCs())
+	for i := range s.shardCtxs {
+		s.shardCtxs[i].logGen = joblog.NewGenerator()
+	}
 	// Pre-split one host-telemetry stream per server. Utilization streams
 	// are per-job and derived lazily on first start (see onStart); both use
 	// the same stateless (seed, label, id) derivation, so no stream's
@@ -484,49 +485,28 @@ func NewStudy(cfg Config) (*Study, error) {
 	return s, nil
 }
 
-// setNumShards sizes the shard contexts for the given event-shard count.
-func (s *Study) setNumShards(n int) {
-	s.numShards = n
-	s.shardCtxs = make([]shardCtx, n)
-	for i := range s.shardCtxs {
-		s.shardCtxs[i].logGen = joblog.NewGenerator()
-	}
-}
-
-// ShardEvents switches the study onto the per-VC sharded event engine with
-// the given shard count; shards <= 0 means one shard per virtual cluster.
-// Jobs map onto shards by VC index modulo the shard count, so any count
-// from 1 to NumVCs is valid and all of them produce bit-identical results
-// — sharding, like SetPool, changes wall-clock only. Must be called before
-// Run.
+// ShardEvents switches the study onto per-VC event sharding: a
+// simulation.Fleet with one lane per virtual cluster, every event
+// scheduled from global context. Results are bit-identical with it on or
+// off — sharding, like SetPool, changes wall-clock only. Must be called
+// before Run.
 //
-// The engine advances shards in bounded virtual-time windows: shard-local
+// The Fleet advances lanes in bounded virtual-time windows: shard-local
 // events (failure-log rendering + classification, convergence-curve
 // analysis) run concurrently across VCs inside a window, while every event
 // that touches shared state — scheduler pumps, placement, telemetry ticks,
 // job state transitions — executes alone at window barriers in the
 // sequential engine's exact (at, seq) order. See internal/simulation's
 // package documentation for the determinism contract.
-func (s *Study) ShardEvents(shards int) {
-	if shards <= 0 || shards > s.sched.NumVCs() {
-		shards = s.sched.NumVCs()
-	}
-	sh := simulation.NewSharded(shards)
-	s.sharded = sh
-	s.engine = sh
-	s.setNumShards(shards)
+func (s *Study) ShardEvents() {
+	s.sharded = simulation.NewFleet(s.sched.NumVCs())
+	s.engine = s.sharded
 }
 
-// EventSharded reports whether the study runs on the sharded engine, and
-// with how many shards.
-func (s *Study) EventSharded() (bool, int) {
-	if s.sharded == nil {
-		return false, 0
-	}
-	return true, s.numShards
-}
+// EventSharded reports whether the study runs with per-VC event sharding.
+func (s *Study) EventSharded() bool { return s.sharded != nil }
 
-// WindowStats returns the sharded engine's deterministic window statistics
+// WindowStats returns the sharded executor's deterministic window statistics
 // (zero value when the study runs on the sequential engine). Tests use it
 // to assert that multiple shards actually advanced within single windows.
 func (s *Study) WindowStats() simulation.WindowStats {
@@ -538,10 +518,10 @@ func (s *Study) WindowStats() simulation.WindowStats {
 
 // SetPool attaches a shared fork-join worker pool for intra-study
 // parallelism: the telemetry walk, multi-rack placement scoring, the
-// scheduler's speculative candidate searches, and large log scans shard
-// across it. Must be called before Run. The pool changes wall-clock only —
-// StudyResult is bit-identical for any pool size, including none (see
-// PERFORMANCE.md for the determinism argument).
+// scheduler's speculative candidate searches and, under ShardEvents, the
+// event windows shard across it. Must be called before Run. The pool
+// changes wall-clock only — StudyResult is bit-identical for any pool
+// size, including none (see PERFORMANCE.md for the determinism argument).
 //
 // The pool may be shared with other studies and with internal/sweep's
 // across-study workers: shards are handed only to workers that are idle at
@@ -573,7 +553,6 @@ func (s *Study) Horizon() simulation.Time {
 func (s *Study) SetExecutor(ex simulation.Executor) {
 	s.engine = ex
 	s.sharded = nil
-	s.setNumShards(s.sched.NumVCs())
 }
 
 // PendingJobs returns how many jobs have not yet reached a terminal state
@@ -604,11 +583,11 @@ func (s *Study) Arm() simulation.Time {
 	}
 
 	// Shard ownership: a job's local events run on its VC's event lane
-	// (VC index modulo the shard count). The mapping depends only on the
-	// configured VC names, so it is identical across runs and engines.
+	// (the VC index). The mapping depends only on the configured VC names,
+	// so it is identical across runs and engines.
 	s.shardOf = make(map[string]simulation.ShardID, s.sched.NumVCs())
 	for _, vc := range s.cfg.Workload.VCs {
-		s.shardOf[vc.Name] = simulation.ShardID(s.sched.VCIndex(vc.Name) % s.numShards)
+		s.shardOf[vc.Name] = simulation.ShardID(s.sched.VCIndex(vc.Name))
 	}
 	shardOf := s.shardOf
 
@@ -1200,7 +1179,7 @@ func (s *Study) classify(sc *shardCtx, js *jobState, reasonCode string) string {
 		return reasonCode
 	}
 	log := sc.logGen.FailureLogBytes(reasonCode, js.spec.GPUs, s.logRNG(js))
-	return s.clf.ClassifyBytesPool(log, s.pool)
+	return s.clf.ClassifyBytes(log)
 }
 
 // finalize records the job's terminal state.
@@ -1288,7 +1267,7 @@ func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
 		// A job can reach convergence analysis without ever failing; its
 		// log stream is then first drawn here.
 		log := sc.logGen.TrainingLogBytes(curve.Losses, js.spec.GPUs, s.logRNG(js))
-		losses = joblog.ParseLossCurveBytesPool(log, sc.lossScratch[:0], s.pool)
+		losses = joblog.ParseLossCurveBytes(log, sc.lossScratch[:0])
 		sc.lossScratch = losses
 	}
 	parsed := training.Curve{Losses: losses}

@@ -24,8 +24,8 @@ func temporalConfig(t *testing.T, preset string) Config {
 
 // TestPatternWorkerInvariance extends the worker-count invariance bar to
 // pattern-driven workloads: a diurnal study must be bit-identical across
-// worker counts {1, 2, 4}, and across the per-VC sharded event engine at
-// shard counts {1, 2, NumVCs}, all against the sequential no-pool engine.
+// worker counts {1, 2, 4}, and with per-VC event sharding, all against the
+// sequential no-pool engine.
 func TestPatternWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariance matrix is not a -short test")
@@ -44,16 +44,14 @@ func TestPatternWorkerInvariance(t *testing.T) {
 						preset, seed, workers)
 				}
 			}
-			for _, shards := range []int{1, 2, 0 /* = NumVCs */} {
-				res, st := runShardedWithPool(t, cfg, shards, 4)
-				if on, _ := st.EventSharded(); !on {
-					t.Fatal("sharded run did not use the sharded engine")
-				}
-				if !reflect.DeepEqual(seq, res) {
-					diffStudyResults(t, seq, res)
-					t.Fatalf("pattern=%s seed=%d shards=%d diverged from sequential engine",
-						preset, seed, shards)
-				}
+			res, st := runShardedWithPool(t, cfg, 4)
+			if !st.EventSharded() {
+				t.Fatal("sharded run did not use per-VC event sharding")
+			}
+			if !reflect.DeepEqual(seq, res) {
+				diffStudyResults(t, seq, res)
+				t.Fatalf("pattern=%s seed=%d sharded run diverged from sequential engine",
+					preset, seed)
 			}
 		}
 	}
@@ -88,12 +86,9 @@ func TestReplayWorkerInvariance(t *testing.T) {
 			t.Fatalf("replay workers=%d diverged from sequential engine", workers)
 		}
 	}
-	for _, shards := range []int{2, 0} {
-		res, _ := runShardedWithPool(t, rcfg, shards, 4)
-		if !reflect.DeepEqual(seq, res) {
-			diffStudyResults(t, seq, res)
-			t.Fatalf("replay shards=%d diverged from sequential engine", shards)
-		}
+	if res, _ := runShardedWithPool(t, rcfg, 4); !reflect.DeepEqual(seq, res) {
+		diffStudyResults(t, seq, res)
+		t.Fatal("sharded replay diverged from sequential engine")
 	}
 	// And the replay study reproduces the generative study it came from —
 	// the engine-level half of the round-trip acceptance bar (the CSV half
@@ -198,16 +193,14 @@ func TestTieHeavyReplayBatchesArrivals(t *testing.T) {
 	}
 
 	seq, _ := runWithPool(t, rcfg, 0)
-	for _, shards := range []int{2, 0} {
-		res, sh := runShardedWithPool(t, rcfg, shards, 4)
-		if !reflect.DeepEqual(seq, res) {
-			diffStudyResults(t, seq, res)
-			t.Fatalf("tie-heavy replay shards=%d diverged from sequential engine", shards)
-		}
-		ws := sh.WindowStats()
-		if ws.Barriers == 0 || ws.Barriers > ws.GlobalEvents {
-			t.Fatalf("barrier accounting out of range: %d barriers, %d globals",
-				ws.Barriers, ws.GlobalEvents)
-		}
+	res, sh := runShardedWithPool(t, rcfg, 4)
+	if !reflect.DeepEqual(seq, res) {
+		diffStudyResults(t, seq, res)
+		t.Fatal("sharded tie-heavy replay diverged from sequential engine")
+	}
+	ws := sh.WindowStats()
+	if ws.Barriers == 0 || ws.Barriers > ws.GlobalEvents {
+		t.Fatalf("barrier accounting out of range: %d barriers, %d globals",
+			ws.Barriers, ws.GlobalEvents)
 	}
 }

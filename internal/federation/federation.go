@@ -1,7 +1,7 @@
 // Package federation runs multi-cluster studies: N member clusters — each
 // a full core.Study with its own workload, failure profile and telemetry —
 // advance inside one virtual timeline on the simulation.Fleet coordinator
-// (the generalization of the per-VC sharded engine where a shard is an
+// (the windowed executor per-VC sharding runs on, with each lane an
 // entire cluster), and interact only through coarse-grained fleet events
 // executing at window barriers:
 //
@@ -334,7 +334,7 @@ func (s *Study) StreamMemberJobs(fn func(member, i int, r *core.JobResult)) {
 
 // SetPool attaches a shared fork-join pool: member lanes run concurrently
 // inside fleet windows, and each member's own parallel layers (telemetry
-// walk, placement scoring, log scans) draw on the same budget. Must be
+// walk, placement scoring, speculative placement) draw on the same budget. Must be
 // called before Run. Pool size changes wall-clock only — the Result is
 // bit-identical for any size, including none.
 func (s *Study) SetPool(p *par.Pool) {

@@ -1,7 +1,8 @@
 // Package par provides the shared, budgeted worker pool behind every layer
 // of parallelism in the simulator: across-study workers in internal/sweep,
 // the intra-study telemetry shards in internal/core, rack scoring in
-// internal/cluster, and chunked log scanning in internal/joblog.
+// internal/cluster, speculative placement in internal/scheduler, and event
+// windows in internal/simulation.
 //
 // One pool, one budget. A Pool of size N never runs more than N tasks at
 // once, no matter how the layers nest: callers always execute their own

@@ -33,8 +33,8 @@
 //
 // # Mutation classification for event sharding
 //
-// The per-VC event engine (internal/simulation.Sharded) partitions events
-// into VC-local and global. The scheduler's state splits accordingly, and
+// Per-VC event sharding (internal/simulation's Fleet, one lane per VC)
+// partitions events into VC-local and global. The scheduler's state splits accordingly, and
 // every method below falls on one side of the line:
 //
 //   - VC-local state: one vcState per virtual cluster — its queue, its

@@ -13,10 +13,16 @@ import (
 // without it (or a ?tenant= query override) belong to "default".
 const TenantHeader = "X-Philly-Tenant"
 
+// MaxSpecBytes bounds a submitted Spec body. A Spec is a few hundred
+// bytes; the cap keeps one request from making the server read an
+// unbounded body.
+const MaxSpecBytes = 1 << 20
+
 // Handler returns the server's HTTP API:
 //
 //	POST   /v1/studies             submit a Spec (202 queued, 200 cache hit,
-//	                               400 malformed, 429 overloaded + Retry-After)
+//	                               400 malformed, 413 over MaxSpecBytes,
+//	                               429 overloaded + Retry-After)
 //	GET    /v1/studies/{id}        job status
 //	GET    /v1/studies/{id}/result completed export JSON (409 until done)
 //	GET    /v1/studies/{id}/events progress stream (SSE; ?stream=ndjson for
@@ -70,10 +76,15 @@ type submitResponse struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("decoding spec: %w", err))
 		return
 	}
 	j, err := s.Submit(requestTenant(r), spec)

@@ -245,6 +245,17 @@ func TestSubmitErrorParity(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyTooLarge: a Spec body past MaxSpecBytes is refused with
+// 413, not decoded.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	_, ts := newHTTPServer(t, Config{Budget: 1}, nil)
+	body := `{"scale":"` + strings.Repeat("a", MaxSpecBytes) + `"}`
+	resp, _ := postRaw(t, ts, "", []byte(body))
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: HTTP %d, want 413", resp.StatusCode)
+	}
+}
+
 // TestQueuedLifecycleOverHTTP holds the dispatcher to pin the
 // pre-running surface: 409 before done, 429 past the queue depth with a
 // Retry-After header, DELETE cancel, terminal SSE for canceled jobs, and

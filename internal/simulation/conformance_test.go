@@ -9,11 +9,12 @@ import (
 	"philly/internal/par"
 )
 
-// Cross-engine conformance suite: every executor — the sequential Engine,
-// the per-VC Sharded engine at several shard counts, and the federation
-// Fleet coordinator — must execute the same schedule with the same
-// observable (at, seq) order. The suite replays deterministic edge-case
-// schedules and randomized tie-heavy ones through all engines and compares:
+// Cross-executor conformance suite: the windowed Fleet, fed from global
+// context as per-VC sharding feeds it, at several lane counts and with and
+// without a pool, must execute the same schedule with the same observable
+// (at, seq) order as the sequential Engine. The suite replays
+// deterministic edge-case schedules and randomized tie-heavy ones through
+// both executors and compares:
 //
 //   - per-lane execution order (locals of one lane are totally ordered;
 //     locals of different lanes commute by contract, so lanes are compared
@@ -25,10 +26,9 @@ import (
 //   - Stop/horizon semantics: processed and pending counts, and the final
 //     clock where the engines define it identically.
 //
-// Engines with fewer lanes than the schedule's shard space fold shards
-// modulo the lane count — the same fold core uses for ShardEvents(n) — and
-// the Engine reference is folded the same way, so one schedule checks
-// every layout.
+// Executors with fewer lanes than the schedule's shard space fold shards
+// modulo the lane count, and the Engine reference is folded the same way,
+// so one schedule checks every layout.
 
 // confChild is an event scheduled from inside a global event's callback
 // (global context, so every engine accepts it): shard -1 is Global, dt is
@@ -99,36 +99,30 @@ func replay(ex Executor, sched []confOp, lanes int, horizon Time) *confTrace {
 	tr.processed = ex.Processed()
 	tr.pending = ex.Pending()
 	tr.now = ex.Now()
-	// The engines define the final clock identically after a full drain
+	// The executors define the final clock identically after a full drain
 	// (horizon) and after a global Stop (the stop event's time). With
 	// events left pending past the horizon they legitimately differ —
-	// Engine reports the last executed event, Sharded/Fleet the barrier
-	// clock — so Now is compared only where the contract defines it.
+	// Engine reports the last executed event, Fleet the barrier clock —
+	// so Now is compared only where the contract defines it.
 	tr.nowValid = tr.stopped || tr.pending == 0
 	return tr
 }
 
 // confExecutors builds the executor matrix under test for a given lane
-// fold: the Sharded engine and the Fleet coordinator at that lane count,
-// with and without a real pool. The Engine reference is built separately
-// per fold by the caller.
-func confExecutors(t *testing.T, lanes int, pool *par.Pool) map[string]Executor {
+// fold: the Fleet at that lane count, with and without a real pool. The
+// Engine reference is built separately per fold by the caller.
+func confExecutors(t *testing.T, lanes int, pool *par.Pool) map[string]*Fleet {
 	t.Helper()
-	sh := NewSharded(lanes)
-	shPool := NewSharded(lanes)
-	shPool.SetPool(pool)
 	fl := NewFleet(lanes)
 	flPool := NewFleet(lanes)
 	flPool.SetPool(pool)
-	return map[string]Executor{
-		"sharded":      sh,
-		"sharded+pool": shPool,
-		"fleet":        fl,
-		"fleet+pool":   flPool,
+	return map[string]*Fleet{
+		"fleet":      fl,
+		"fleet+pool": flPool,
 	}
 }
 
-// runConformance replays one schedule through the full engine matrix and
+// runConformance replays one schedule through the full executor matrix and
 // fails on any observable divergence from the folded Engine reference.
 func runConformance(t *testing.T, name string, sched []confOp, shardSpace int, horizon Time) {
 	t.Helper()
@@ -229,7 +223,7 @@ func replayDigest(ex Executor, sched []confOp, lanes int, horizon Time) *confDig
 
 // TestConformanceMillionEventSchedule replays one synthetic million-event
 // schedule — tie-heavy (~32 events per instant), ~6% globals, a fraction
-// of which fan out zero-and-short-delay children — through the same engine
+// of which fan out zero-and-short-delay children — through the same executor
 // matrix as the small suites, comparing lane digests instead of traces.
 // This is the scale leg: barrier batching, the drain's same-instant split
 // and per-lane heap growth only meet their steady state after hundreds of
@@ -291,11 +285,8 @@ func TestConformanceMillionEventSchedule(t *testing.T) {
 			if got.now != want.now {
 				t.Fatalf("%s lanes=%d: Now = %v, want %v", ename, lanes, got.now, want.now)
 			}
-			if sh, ok := ex.(*Sharded); ok {
-				st := sh.Stats()
-				if st.Barriers == 0 || st.Barriers > st.GlobalEvents {
-					t.Fatalf("%s lanes=%d: Barriers = %d with %d globals", ename, lanes, st.Barriers, st.GlobalEvents)
-				}
+			if st := ex.Stats(); st.Barriers == 0 || st.Barriers > st.GlobalEvents {
+				t.Fatalf("%s lanes=%d: Barriers = %d with %d globals", ename, lanes, st.Barriers, st.GlobalEvents)
 			}
 		}
 	}
@@ -366,7 +357,7 @@ func TestConformanceEdgeSchedules(t *testing.T) {
 }
 
 // TestConformanceOutageSchedules replays outage-shaped schedules through
-// the engine matrix: core's outage engine runs a begin event (a global
+// the executor matrix: core's outage engine runs a begin event (a global
 // that mass-kills and requeues, i.e. fans out same-instant work) paired
 // with a later repair global, with shard-local activity landing at the
 // same instants. The suite pins the (at, seq) order of exactly these
@@ -451,7 +442,7 @@ func TestConformanceOutageSchedules(t *testing.T) {
 // TestConformanceRandomSchedules replays randomized tie-heavy schedules —
 // timestamps drawn from a tiny range so simultaneous events dominate,
 // global events that fan out zero-and-short-delay children, and an
-// occasional mid-run Stop — through the full engine matrix. Seeds are
+// occasional mid-run Stop — through the full executor matrix. Seeds are
 // fixed: every run replays the same 24 schedules.
 func TestConformanceRandomSchedules(t *testing.T) {
 	const shardSpace = 4

@@ -2,22 +2,23 @@
 // the cluster simulator runs on: a virtual clock with second resolution
 // and event queues with stable FIFO ordering for simultaneous events.
 //
-// Two engines share one Executor surface. Engine is the sequential
+// Two executors share one Executor surface. Engine is the sequential
 // reference: one heap, one goroutine, full (at, seq) order. Determinism —
 // identical results for identical seeds — is a design requirement (every
 // figure in EXPERIMENTS.md must be regenerable bit-for-bit), and the
 // single event loop is the simplest way to guarantee it. Intra-study
 // parallelism traditionally lives one layer up and respects this
 // contract: an event callback may fork work out to a pool (the telemetry
-// draw/fold pipeline, rack scoring, log scans in internal/core) but
+// draw/fold pipeline, rack scoring, speculative placement) but
 // always joins before returning, so the engine never observes concurrent
 // mutation and the event schedule is identical for every worker count.
 //
-// Sharded (see sharded.go) partitions the loop itself per virtual
-// cluster: shard-local events run concurrently inside bounded
+// Fleet (see fleet.go) partitions the loop itself into lanes — one per
+// virtual cluster under per-VC sharding (see sharded.go), one per member
+// cluster under federation: lane events run concurrently inside bounded
 // virtual-time windows while global events execute at window barriers in
 // the sequential engine's exact (at, seq) order, keeping results
-// bit-identical to Engine for any shard count.
+// bit-identical to Engine.
 package simulation
 
 import (

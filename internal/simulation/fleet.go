@@ -1,29 +1,30 @@
-// Fleet generalizes the per-VC sharded engine (sharded.go) one level up:
-// a shard is no longer a lane of pre-scheduled events inside one cluster,
-// it is an entire member cluster with its own event timeline. This is the
-// seam ROADMAP's "multi-cluster / federated studies" item names: several
-// clusters (Philly-scale, Helios-like, ...) advance concurrently inside
-// bounded virtual-time windows and interact only through coarse-grained
-// fleet events — job spillover, quota rebalancing — that execute alone at
-// window barriers.
+// Fleet is the windowed executor. Each lane is a private, fully ordered
+// event timeline; lanes advance concurrently inside bounded virtual-time
+// windows and interact only through global events that execute alone at
+// window barriers. Two layers build on it:
 //
-// # What the generalization changes
+//   - Per-VC sharding (sharded.go): one lane per virtual cluster of one
+//     study, every event scheduled from global context through At and
+//     AtShard, lane callbacks forbidden to schedule.
+//   - Federation: each lane is an entire member cluster (Philly-scale,
+//     Helios-like, ...) running its own study through its Member view;
+//     members interact only through coarse-grained fleet events — job
+//     spillover, quota rebalancing — at barriers.
 //
-// Sharded's local callbacks may not schedule: every event key is assigned
-// by the one coordinator-owned seq counter, which is what makes the event
-// order bit-identical to the sequential Engine. A member cluster cannot
-// live under that rule — a cluster driver schedules constantly (arrivals
-// pump the scheduler, episode ends arm new episodes, tickers re-arm
-// themselves). Fleet therefore gives each member a private, fully ordered
-// lane:
+// # Member scheduling
+//
+// A member cluster cannot live under sharding's no-scheduling rule — a
+// cluster's study schedules constantly (arrivals pump the scheduler,
+// episode ends arm new episodes, tickers re-arm themselves). Fleet
+// therefore keys each lane by its own counter:
 //
 //   - Lane events are keyed (at, lseq): lseq is the member-local schedule
 //     counter, so within one member the execution order is exactly the
 //     sequential Engine's FIFO-at-equal-times order. A member callback may
 //     schedule onto its own member and may stop its own member.
 //   - Cross-member and member-to-global scheduling from member context is
-//     a contract violation and panics, exactly like Sharded's local
-//     scheduling panic: members share no state except through barriers.
+//     a contract violation and panics, exactly like a sharded lane
+//     callback scheduling: members share no state except through barriers.
 //   - Global (fleet) events are keyed (at, gseq) by the coordinator-owned
 //     counter and run alone at window barriers, in exactly the order the
 //     sequential Engine would run them.
@@ -31,15 +32,17 @@
 // # Window rule
 //
 // The earliest pending global event defines the barrier key (bAt, bSeq).
-// Each member runs its lane, sequentially in (at, lseq) order, while the
-// head event is ordered before the barrier; different members run
-// concurrently on the shared pool. A lane event's position against the
-// barrier is decided by its own global-order stamp gseq:
+// Each lane runs, sequentially in (at, lseq) order, while its head event
+// is ordered before the barrier; different lanes run concurrently on the
+// shared pool. A lane event's position against the barrier is decided by
+// its own global-order stamp gseq:
 //
 //   - Scheduled from global context (setup or a barrier callback), the
 //     event's gseq is drawn from the same counter as global events, so
 //     instant ties against barriers resolve exactly as the sequential
-//     Engine's FIFO would.
+//     Engine's FIFO would. This is the only path per-VC sharding uses, and
+//     on it (at, lseq) and (at, gseq) order a lane identically: every event
+//     carries the (at, seq) key the sequential Engine would assign it.
 //   - Scheduled from member context, the event inherits the stamp of the
 //     window it was created in (the barrier's gseq): at an instant tie it
 //     runs after the fleet events of that instant and before any fleet
@@ -48,11 +51,11 @@
 //
 // The stamp orders a lane head against barriers only; it never reorders
 // events within a lane (lanes are FIFO by (at, lseq)). Determinism follows
-// the same argument as Sharded: the only reordering Fleet introduces is
-// between events of different members inside one window, and those commute
-// because members touch disjoint state; every barrier event runs at its
-// exact global position. The race detector over the federation invariance
-// matrix enforces the disjointness the engine cannot check.
+// the argument in sharded.go: the only reordering Fleet introduces is
+// between events of different lanes inside one window, and those commute
+// because lanes touch disjoint state; every barrier event runs at its
+// exact global position. The race detector over the invariance matrices
+// enforces the disjointness the executor cannot check.
 package simulation
 
 import (
@@ -214,10 +217,6 @@ func NewFleet(n int) *Fleet {
 // results are identical either way; only wall-clock changes.
 func (f *Fleet) SetPool(p *par.Pool) { f.pool = p }
 
-// NumShards returns the member count (the Executor-surface name, so the
-// conformance harness can treat Fleet and Sharded uniformly).
-func (f *Fleet) NumShards() int { return len(f.lanes) }
-
 // Member returns the executor view of member i: the Executor a member
 // cluster's driver runs on. Unlike the Fleet surface itself, a member view
 // accepts scheduling and Stop from inside its own callbacks.
@@ -282,9 +281,10 @@ func (f *Fleet) After(d Time, fn func()) {
 	f.At(f.now+d, fn)
 }
 
-// AtShard schedules an event onto member sh's lane from global context
-// (Global routes to At). This is the Executor-surface path the conformance
-// harness drives; member drivers use their Member view instead, which
+// AtShard schedules an event onto lane sh from global context (Global
+// routes to At) — per-VC sharding's local-event path. Like At it rejects
+// times behind the barrier clock, which a lane's own clock may trail.
+// A federation member's study uses its Member view instead, which
 // additionally allows member-context scheduling.
 func (f *Fleet) AtShard(sh ShardID, at Time, fn func()) {
 	if sh == Global {
@@ -294,6 +294,9 @@ func (f *Fleet) AtShard(sh ShardID, at Time, fn func()) {
 	f.checkGlobalContext("scheduling")
 	if int(sh) < 0 || int(sh) >= len(f.lanes) {
 		panic(fmt.Sprintf("simulation: member %d out of range [0, %d)", sh, len(f.lanes)))
+	}
+	if at < f.now {
+		panic(fmt.Sprintf("simulation: scheduling event in the past (%v < now %v)", at, f.now))
 	}
 	f.scheduleMember(&f.lanes[sh], at, fn, false)
 }
@@ -369,8 +372,9 @@ func laneRunnable(lane *memberLane, bAt Time, bSeq uint64, horizon Time) bool {
 }
 
 // runWindow executes, on every member, the lane events ordered before the
-// (at, seq) barrier key and not past the horizons.
-func (f *Fleet) runWindow(bAt Time, bSeq uint64, horizon Time) {
+// (at, seq) barrier key and not past the horizons. It reports whether any
+// lane ran.
+func (f *Fleet) runWindow(bAt Time, bSeq uint64, horizon Time) bool {
 	runnable := f.runnable[:0]
 	for i := range f.lanes {
 		if laneRunnable(&f.lanes[i], bAt, bSeq, horizon) {
@@ -379,7 +383,7 @@ func (f *Fleet) runWindow(bAt Time, bSeq uint64, horizon Time) {
 	}
 	f.runnable = runnable
 	if len(runnable) == 0 {
-		return
+		return false
 	}
 
 	f.stats.Windows++
@@ -411,27 +415,42 @@ func (f *Fleet) runWindow(bAt Time, bSeq uint64, horizon Time) {
 		f.pool.ForkJoin(len(runnable), run)
 	}
 	f.inWindow.Store(false)
+	return true
 }
 
 // Run executes events in windows until every heap drains or the clock
 // would pass horizon (events at exactly horizon still run). It returns the
-// number of events executed during this call. Semantics match Sharded.Run
-// at the fleet level; each member lane additionally honors its own horizon
-// and Stop with the sequential Engine's exact semantics, so a member's
-// observable timeline is byte-identical to a standalone run.
+// number of events executed during this call. Semantics match Engine.Run:
+// Stop (from a global event) halts after that event; the clock advances to
+// the horizon when the queues drain first. Each member lane additionally
+// honors its own horizon and Stop with the sequential Engine's exact
+// semantics, so a member's observable timeline is byte-identical to a
+// standalone run.
+//
+// Consecutive global events with no lane event ordered between them — a
+// same-instant arrival storm, a batch of commits — form one barrier drain
+// cycle, counted once in WindowStats.Barriers; the execution order is
+// exactly the sequential engine's either way.
 func (f *Fleet) Run(horizon Time) uint64 {
 	f.stopped = false
 	for i := range f.lanes {
 		f.lanes[i].stopped = false
 	}
 	start := f.Processed()
+	draining := false // a barrier drain cycle is open
 	for !f.stopped {
 		bAt, bSeq, haveGlobal := f.barrierKey(horizon)
-		f.runWindow(bAt, bSeq, horizon)
+		if f.runWindow(bAt, bSeq, horizon) {
+			draining = false
+		}
 		if !haveGlobal {
 			// No global event within the horizon: the members just drained
 			// everything runnable, so this Run is done.
 			break
+		}
+		if !draining {
+			f.stats.Barriers++
+			draining = true
 		}
 		next := f.global.pop()
 		f.now = next.at
@@ -463,10 +482,10 @@ func (f *Fleet) Run(horizon Time) uint64 {
 // Member is the executor view a member cluster's driver runs on. It
 // implements Executor: Now/At/After/AtShard/Ticker observe and feed the
 // member's private lane, Stop halts the member (not the fleet), and —
-// unlike Sharded locals — scheduling from inside the member's own
-// callbacks is allowed, because the lane is totally ordered by its own
-// counter. Scheduling or stopping another member's view from a member
-// callback panics (federation barrier contract).
+// unlike per-VC sharding's lane callbacks — scheduling from inside the
+// member's own callbacks is allowed, because the lane is totally ordered
+// by its own counter. Scheduling or stopping another member's view from a
+// member callback panics (federation barrier contract).
 type Member struct {
 	f  *Fleet
 	id ShardID

@@ -1,14 +1,16 @@
 package simulation
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"philly/internal/par"
 )
 
-// TestFleetMemberSelfScheduling pins the capability that separates Fleet
-// from Sharded: a member callback may schedule onto its own member — the
+// TestFleetMemberSelfScheduling pins the capability that separates a
+// federation member from a sharded lane: a member callback may schedule
+// onto its own member — the
 // causal chains a cluster driver needs — and the lane executes in exactly
 // the sequential FIFO order, including zero-delay chains, for any pool.
 func TestFleetMemberSelfScheduling(t *testing.T) {
@@ -186,8 +188,8 @@ func TestFleetMemberRunPanics(t *testing.T) {
 	NewFleet(1).Member(0).Run(10)
 }
 
-// TestFleetPastSchedulingPanics mirrors the other engines' guards on both
-// the fleet and member surfaces, including the member's own clock.
+// TestFleetPastSchedulingPanics mirrors the Engine's guards on both the
+// fleet and member surfaces, including the member's own clock.
 func TestFleetPastSchedulingPanics(t *testing.T) {
 	f := NewFleet(1)
 	m := f.Member(0)
@@ -209,6 +211,22 @@ func TestFleetPastSchedulingPanics(t *testing.T) {
 	}
 }
 
+// TestFleetAtShardBehindBarrierPanics: a lane's clock trails the barrier
+// clock while the lane is idle, so AtShard must also check the barrier
+// clock — an event accepted behind it would later run in the past.
+func TestFleetAtShardBehindBarrierPanics(t *testing.T) {
+	f := NewFleet(1)
+	panicked := false
+	f.At(10, func() {
+		defer func() { panicked = recover() != nil }()
+		f.AtShard(0, 5, func() { t.Error("an event behind the barrier clock ran") })
+	})
+	f.Run(20)
+	if !panicked {
+		t.Fatal("AtShard behind the barrier clock did not panic")
+	}
+}
+
 // TestFleetWindowStats checks the deterministic window accounting over a
 // schedule that genuinely forks members inside one window.
 func TestFleetWindowStats(t *testing.T) {
@@ -219,7 +237,7 @@ func TestFleetWindowStats(t *testing.T) {
 	f.Member(2).At(7, func() {})
 	f.Run(10)
 	st := f.Stats()
-	if st.MultiShardWindows != 1 || st.MaxShardsInWindow != 2 {
+	if st.Windows != 2 || st.MultiShardWindows != 1 || st.MaxShardsInWindow != 2 || st.Barriers != 1 {
 		t.Fatalf("window stats = %+v", st)
 	}
 	if st.LocalEvents != 3 || st.GlobalEvents != 1 {
@@ -227,5 +245,264 @@ func TestFleetWindowStats(t *testing.T) {
 	}
 	if f.Processed() != 4 {
 		t.Fatalf("Processed = %d, want 4", f.Processed())
+	}
+}
+
+// schedOp is one scheduling instruction for the equivalence harness: at
+// setup (or inside global event gi's callback when from >= 0), schedule an
+// event on the given shard (Global for a barrier event) at time at.
+type schedOp struct {
+	shard ShardID
+	at    Time
+}
+
+// buildTrace runs the given schedule on an Executor and records execution
+// as "shard@time:idx" strings, one lane per shard (lane 0 is Global).
+// Local events of different shards commute by contract, so comparing the
+// per-shard lanes — not one interleaved list — is exactly the equivalence
+// per-VC sharding promises. Each event appends only to its own shard's
+// lane, respecting the disjoint-state rule under a real pool.
+func buildTrace(ex Executor, ops []schedOp, lanes int, horizon Time) [][]string {
+	trace := make([][]string, lanes)
+	for i, op := range ops {
+		i, op := i, op
+		lane := int(op.shard) + 1 // Global = -1 -> lane 0
+		if op.shard == Global {
+			ex.At(op.at, func() {
+				trace[lane] = append(trace[lane], fmt.Sprintf("g@%v:%d", op.at, i))
+			})
+		} else {
+			ex.AtShard(op.shard, op.at, func() {
+				trace[lane] = append(trace[lane], fmt.Sprintf("%d@%v:%d", op.shard, op.at, i))
+			})
+		}
+	}
+	ex.Run(horizon)
+	return trace
+}
+
+// The TestSharded* cases below pin per-VC sharding: a Fleet whose lanes are
+// fed only from global context, through AtShard.
+
+// TestShardedMatchesEngineOrder pins the core equivalence: for a schedule
+// mixing local and global events (including exact time ties), a sharded
+// Fleet must execute each shard's locals in the same relative order as the
+// sequential engine, and the global sequence identically. Local events of
+// different shards may interleave differently — that is the whole point —
+// so traces are compared per shard.
+func TestShardedMatchesEngineOrder(t *testing.T) {
+	// A deliberately tie-heavy schedule: globals and locals at the same
+	// instants, multiple shards, an event exactly at the horizon.
+	ops := []schedOp{
+		{0, 5}, {1, 5}, {Global, 5}, {0, 5}, // ties at t=5 across kinds
+		{Global, 10}, {1, 7}, {0, 12}, {2, 3},
+		{Global, 12}, {2, 12}, {1, 12}, {Global, 20},
+		{0, 20}, {2, 20}, // at the horizon
+		{1, 21}, // beyond the horizon: must not run
+	}
+	const horizon = Time(20)
+	const lanes = 4 // Global + shards 0..2
+
+	want := buildTrace(NewEngine(), ops, lanes, horizon)
+	for _, workers := range []int{0, 4} {
+		s := NewFleet(3)
+		var pool *par.Pool
+		if workers > 0 {
+			pool = par.NewPool(workers)
+			defer pool.Close()
+			s.SetPool(pool)
+		}
+		got := buildTrace(s, ops, lanes, horizon)
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("workers=%d: trace diverged\nwant %v\ngot  %v", workers, want, got)
+		}
+	}
+}
+
+// TestShardedBarrierOrdersLocalsAgainstGlobals checks the (at, seq) barrier
+// rule at a shared instant: a local scheduled before a same-time global
+// runs before it, one scheduled after runs after it — exactly the
+// sequential tie-break.
+func TestShardedBarrierOrdersLocalsAgainstGlobals(t *testing.T) {
+	s := NewFleet(2)
+	var order []string
+	s.AtShard(0, 10, func() { order = append(order, "local-before") })
+	s.At(10, func() { order = append(order, "global") })
+	s.AtShard(0, 10, func() { order = append(order, "local-after") })
+	s.Run(20)
+	want := []string{"local-before", "global", "local-after"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// TestShardedWindowStats checks the deterministic concurrency accounting
+// when lanes are fed through AtShard: two shards with events inside one
+// window must be reported as a multi-shard window.
+func TestShardedWindowStats(t *testing.T) {
+	s := NewFleet(3)
+	s.AtShard(0, 1, func() {})
+	s.AtShard(1, 2, func() {})
+	s.At(5, func() {})
+	s.AtShard(2, 7, func() {})
+	s.Run(10)
+	st := s.Stats()
+	if st.MultiShardWindows != 1 {
+		t.Fatalf("MultiShardWindows = %d, want 1", st.MultiShardWindows)
+	}
+	if st.MaxShardsInWindow != 2 {
+		t.Fatalf("MaxShardsInWindow = %d, want 2", st.MaxShardsInWindow)
+	}
+	if st.LocalEvents != 3 || st.GlobalEvents != 1 {
+		t.Fatalf("event split = %d local / %d global, want 3/1", st.LocalEvents, st.GlobalEvents)
+	}
+	if s.Processed() != 4 {
+		t.Fatalf("Processed = %d, want 4", s.Processed())
+	}
+}
+
+// TestShardedBatchedBarrierDrain pins the batched-drain accounting on a
+// tie-heavy replay-style schedule: a storm of same-instant global events
+// with no shard event ordered between them executes in ONE barrier drain
+// cycle (Barriers counts synchronizations, not global events), and the
+// storm adds no windows of its own.
+func TestShardedBatchedBarrierDrain(t *testing.T) {
+	s := NewFleet(2)
+	ran := 0
+	s.AtShard(0, 5, func() {})
+	for i := 0; i < 50; i++ {
+		s.At(10, func() { ran++ })
+	}
+	s.AtShard(1, 15, func() {})
+	for i := 0; i < 30; i++ {
+		s.At(20, func() { ran++ })
+	}
+	s.Run(30)
+	st := s.Stats()
+	if ran != 80 || st.GlobalEvents != 80 {
+		t.Fatalf("executed %d globals, stats %d, want 80", ran, st.GlobalEvents)
+	}
+	if st.Barriers != 2 {
+		t.Fatalf("Barriers = %d, want 2 (one per storm)", st.Barriers)
+	}
+	if st.Windows != 2 {
+		t.Fatalf("Windows = %d, want 2 (storms add no zero-width windows)", st.Windows)
+	}
+	if st.LocalEvents != 2 {
+		t.Fatalf("LocalEvents = %d, want 2", st.LocalEvents)
+	}
+}
+
+// TestShardedSameInstantTieSplitsDrain checks the drain's ordering guard:
+// a shard-local event scheduled BETWEEN two same-instant globals carries a
+// seq between theirs, so the drain must stop for it — batching never
+// reorders the sequential (at, seq) execution.
+func TestShardedSameInstantTieSplitsDrain(t *testing.T) {
+	s := NewFleet(2)
+	var order []string
+	s.At(10, func() { order = append(order, "g1") })
+	s.AtShard(0, 10, func() { order = append(order, "local") })
+	s.At(10, func() { order = append(order, "g2") })
+	s.Run(20)
+	want := []string{"g1", "local", "g2"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if st := s.Stats(); st.Barriers != 2 {
+		t.Fatalf("Barriers = %d, want 2 (the tie splits the drain)", st.Barriers)
+	}
+}
+
+// TestShardedSchedulingFromLocalPanics enforces the window-merge contract:
+// a local callback that schedules (or stops) would make the event order
+// depend on thread timing, so the Fleet must reject it loudly.
+func TestShardedSchedulingFromLocalPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fn   func(s *Fleet)
+	}{
+		{"At", func(s *Fleet) { s.At(10, func() {}) }},
+		{"AtShard", func(s *Fleet) { s.AtShard(0, 10, func() {}) }},
+		{"Stop", func(s *Fleet) { s.Stop() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewFleet(2)
+			panicked := false
+			s.AtShard(0, 1, func() {
+				defer func() {
+					if recover() != nil {
+						panicked = true
+					}
+				}()
+				tc.fn(s)
+			})
+			s.Run(5)
+			if !panicked {
+				t.Fatalf("%s from a local callback did not panic", tc.name)
+			}
+		})
+	}
+}
+
+// TestShardedGlobalMayScheduleLocals checks the sanctioned path: global
+// events scheduling future local and global work, with the clock and
+// horizon semantics of the sequential engine.
+func TestShardedGlobalMayScheduleLocals(t *testing.T) {
+	s := NewFleet(2)
+	var ran []string
+	s.At(5, func() {
+		s.AtShard(1, 8, func() { ran = append(ran, "local") })
+		s.After(10, func() { ran = append(ran, "global") })
+	})
+	n := s.Run(100)
+	if n != 3 {
+		t.Fatalf("Run executed %d events, want 3", n)
+	}
+	if !reflect.DeepEqual(ran, []string{"local", "global"}) {
+		t.Fatalf("ran = %v", ran)
+	}
+	if s.Now() != 100 {
+		t.Fatalf("drained clock = %v, want horizon 100", s.Now())
+	}
+}
+
+// TestShardedStop checks that Stop from a global event halts the loop and
+// leaves later work pending, like Engine.Stop.
+func TestShardedStop(t *testing.T) {
+	s := NewFleet(2)
+	ran := 0
+	s.AtShard(0, 1, func() { ran++ })
+	s.At(5, func() { s.Stop() })
+	s.AtShard(1, 7, func() { ran++ })
+	s.Run(100)
+	if ran != 1 {
+		t.Fatalf("ran = %d locals, want 1 (post-Stop local must stay pending)", ran)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", s.Pending())
+	}
+	if s.Now() != 5 {
+		t.Fatalf("Now = %v, want 5 (stopped clock must not advance to horizon)", s.Now())
+	}
+}
+
+// TestShardedPastSchedulingPanics mirrors the Engine's past-scheduling
+// guard on both the global and shard paths after a drained run.
+func TestShardedPastSchedulingPanics(t *testing.T) {
+	s := NewFleet(1)
+	s.At(10, func() {})
+	s.Run(20)
+	for _, fn := range []func(){
+		func() { s.At(5, func() {}) },
+		func() { s.AtShard(0, 5, func() {}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("scheduling in the past did not panic")
+				}
+			}()
+			fn()
+		}()
 	}
 }

@@ -3,74 +3,73 @@
 // however, is naturally partitioned: each virtual cluster owns its jobs and
 // queues, and only a minority of interactions (placement on the shared
 // physical cluster, fair-share preemption, cluster-wide telemetry ticks)
-// couple VCs to each other. Sharded exploits that structure without giving
-// up one bit of determinism.
+// couple VCs to each other. Per-VC sharding exploits that structure
+// without giving up one bit of determinism, and it runs on Fleet: one lane
+// per VC, every event scheduled from global context.
 //
 // # Model
 //
 // Every event is either *local* to a shard (it reads and writes only state
-// owned by that shard) or *global* (it may touch anything). The coordinator
-// advances the simulation in virtual-time windows:
+// owned by that shard) or *global* (it may touch anything). Local events
+// go onto the shard's lane with AtShard, global ones onto the barrier heap
+// with At. The coordinator advances the simulation in virtual-time
+// windows:
 //
 //  1. The earliest pending global event g defines the window barrier — the
 //     ordering key (g.at, g.seq).
-//  2. Every shard runs its local events with keys below the barrier, each
-//     shard sequentially in (at, seq) order, different shards concurrently
+//  2. Every lane runs its local events with keys below the barrier, each
+//     lane sequentially in (at, seq) order, different lanes concurrently
 //     on the shared worker pool (window-level fork-join).
-//  3. At the barrier the shards join and the coordinator executes g alone.
+//  3. At the barrier the lanes join and the coordinator executes g alone.
 //
 // # Determinism contract
 //
 // The result is bit-identical to the sequential Engine executing the same
-// events in full (at, seq) order, because the only reordering Sharded ever
-// introduces is between local events of *different* shards inside one
+// events in full (at, seq) order, because the only reordering sharding
+// ever introduces is between local events of *different* shards inside one
 // window — and those commute by definition: they touch disjoint state, and
 // every global event (which may observe any state) still runs at exactly
 // its sequential position. Three rules make the argument airtight, and the
-// engine enforces them at runtime:
+// executor enforces them at runtime:
 //
-//   - Local callbacks must not schedule events (At/AtShard from a shard
-//     callback panics). All scheduling happens in global context — setup or
-//     global callbacks — on the coordinator goroutine, so the seq counter
-//     assigns every event the exact number the sequential Engine would.
-//     Causal chains that need to schedule therefore pass through a barrier:
-//     the conservative lookahead is "a local event never creates work",
-//     which core satisfies by pre-scheduling each local prepare step
-//     together with its global commit step (see internal/core).
+//   - Local callbacks must not schedule events (At/AtShard on the Fleet
+//     from a lane callback panics). All scheduling happens in global
+//     context — setup or global callbacks — on the coordinator goroutine,
+//     so every event, local or global, draws its key from the one
+//     coordinator counter and carries the exact (at, seq) the sequential
+//     Engine would assign it. A lane orders its events by its own counter,
+//     which over global-context schedules is the same order. Causal chains
+//     that need to schedule therefore pass through a barrier: the
+//     conservative lookahead is "a local event never creates work", which
+//     core satisfies by pre-scheduling each local prepare step together
+//     with its global commit step (see internal/core).
 //   - Local callbacks must not touch another shard's state or any shared
-//     mutable state. The engine cannot check this directly; the race
+//     mutable state. The executor cannot check this directly; the race
 //     detector over the invariance matrix does (make check).
 //   - Stop, like scheduling, is global-context-only.
 //
 // Window execution is a fork-join on an internal/par pool: the budget is
 // shared with the telemetry walk and every other parallel layer, and a busy
-// or absent pool degrades to inline shard-order execution with identical
+// or absent pool degrades to inline lane-order execution with identical
 // results.
 package simulation
 
-import (
-	"fmt"
-	"sync/atomic"
-
-	"philly/internal/par"
-)
-
-// ShardID names an event shard. Shards are dense indexes [0, NumShards);
-// Global marks events that must run alone at a window barrier.
+// ShardID names an event shard: a dense lane index from 0. Global marks
+// events that must run alone at a window barrier.
 type ShardID int
 
 // Global is the pseudo-shard of barrier events.
 const Global ShardID = -1
 
 // Executor is the scheduling surface the study driver runs on, implemented
-// by both the sequential Engine and the per-VC Sharded engine. At schedules
-// a global event; AtShard schedules a shard-local one (the sequential
-// Engine treats both identically, which is what makes the two engines
-// interchangeable: the callback set and the observable execution order of
-// non-commuting events are the same).
+// by the sequential Engine, the windowed Fleet and a Fleet's Member views.
+// At schedules a global event; AtShard schedules a shard-local one (the
+// sequential Engine treats both identically, which is what makes the
+// executors interchangeable: the callback set and the observable execution
+// order of non-commuting events are the same).
 type Executor interface {
 	// Now returns the current simulated time: the barrier clock for
-	// Sharded, the event clock for Engine. Local callbacks receive their
+	// Fleet, the event clock for Engine. Local callbacks receive their
 	// own time explicitly and must not consult Now.
 	Now() Time
 	// At schedules a global event at absolute time at.
@@ -94,23 +93,11 @@ type Executor interface {
 }
 
 // Engine schedules shard-tagged events like any other: one heap, full
-// (at, seq) order. This is the sequential reference the sharded engine is
+// (at, seq) order. This is the sequential reference per-VC sharding is
 // measured against.
 func (e *Engine) AtShard(_ ShardID, at Time, fn func()) { e.At(at, fn) }
 
 var _ Executor = (*Engine)(nil)
-var _ Executor = (*Sharded)(nil)
-
-// shard is one virtual cluster's private event lane.
-type shard struct {
-	queue eventHeap
-	// now is the shard's local clock: the time of its last executed event,
-	// never behind the coordinator's barrier clock at window edges.
-	now Time
-	// processed counts events executed on this shard (owned by the shard's
-	// window task while running, read by the coordinator after joins).
-	processed uint64
-}
 
 // WindowStats describes how much intra-window parallelism a run exposed.
 // All counts are deterministic: they depend on the event schedule only,
@@ -135,277 +122,9 @@ type WindowStats struct {
 	Barriers uint64
 }
 
-// Sharded is the per-VC event engine. The zero value is not usable; call
-// NewSharded. It is driven from one goroutine (Run); only the window
-// fork-join fans out, and only over shard-local callbacks.
-type Sharded struct {
-	shards []shard
-	global eventHeap
-	// seq is the engine-wide scheduling counter. One counter, allocated
-	// only from global context, so every event carries exactly the (at,
-	// seq) key the sequential Engine would have assigned it — the property
-	// the whole bit-identity argument rests on.
-	seq       uint64
-	now       Time
-	stopped   bool
-	processed uint64 // global events executed
-	stats     WindowStats
+// Sharded and NewSharded are the names the benchmark module (perfbench/)
+// installs per-VC sharding by; they are Fleet and NewFleet.
+type Sharded = Fleet
 
-	// pool runs window fork-joins; nil executes shards inline.
-	pool *par.Pool
-	// inShard marks that a window fork-join is executing, to reject
-	// scheduling and Stop from local callbacks.
-	inShard atomic.Bool
-
-	// runnable is the reused per-window list of shard indexes with work.
-	runnable []int
-}
-
-// NewSharded returns a sharded engine with n local shards and the clock at
-// zero. n must be at least 1.
-func NewSharded(n int) *Sharded {
-	if n < 1 {
-		panic("simulation: sharded engine needs at least one shard")
-	}
-	s := &Sharded{
-		shards: make([]shard, n),
-		global: make(eventHeap, 0, 256),
-	}
-	return s
-}
-
-// SetPool attaches the worker pool used for window-level fork-join. A nil
-// pool (or one of size 1) runs every window inline in shard order — results
-// are identical either way; only wall-clock changes.
-func (s *Sharded) SetPool(p *par.Pool) { s.pool = p }
-
-// NumShards returns the number of local shards.
-func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Now returns the barrier clock: the time of the last executed global
-// event, or the horizon after a drained Run.
-func (s *Sharded) Now() Time { return s.now }
-
-// Stats returns the window statistics accumulated so far.
-func (s *Sharded) Stats() WindowStats { return s.stats }
-
-// Processed returns the number of executed events (local + global).
-func (s *Sharded) Processed() uint64 {
-	total := s.processed
-	for i := range s.shards {
-		total += s.shards[i].processed
-	}
-	return total
-}
-
-// Pending returns how many events are waiting across all heaps.
-func (s *Sharded) Pending() int {
-	n := len(s.global)
-	for i := range s.shards {
-		n += len(s.shards[i].queue)
-	}
-	return n
-}
-
-// checkContext panics when called from inside a window fork-join: local
-// callbacks creating or halting work would make seq assignment (and with
-// it the cross-shard event order) depend on thread timing.
-func (s *Sharded) checkContext(what string) {
-	if s.inShard.Load() {
-		panic(fmt.Sprintf("simulation: %s from a shard-local callback; only global events may %s (window-merge determinism contract)", what, what))
-	}
-}
-
-// At schedules a global event at absolute time at. Global events run alone
-// at window barriers, in exactly the sequential engine's (at, seq) order.
-func (s *Sharded) At(at Time, fn func()) {
-	s.checkContext("scheduling")
-	if fn == nil {
-		panic("simulation: scheduling nil event")
-	}
-	if at < s.now {
-		panic(fmt.Sprintf("simulation: scheduling event in the past (%v < now %v)", at, s.now))
-	}
-	s.seq++
-	s.global.push(event{at: at, seq: s.seq, fn: fn})
-}
-
-// After schedules a global event d seconds from Now.
-func (s *Sharded) After(d Time, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.At(s.now+d, fn)
-}
-
-// AtShard schedules an event local to shard sh. Shard -1 (Global) is
-// accepted and equivalent to At, so callers can route by ownership without
-// special cases.
-func (s *Sharded) AtShard(sh ShardID, at Time, fn func()) {
-	if sh == Global {
-		s.At(at, fn)
-		return
-	}
-	s.checkContext("scheduling")
-	if int(sh) < 0 || int(sh) >= len(s.shards) {
-		panic(fmt.Sprintf("simulation: shard %d out of range [0, %d)", sh, len(s.shards)))
-	}
-	if fn == nil {
-		panic("simulation: scheduling nil event")
-	}
-	if at < s.now {
-		panic(fmt.Sprintf("simulation: scheduling event in the past (%v < now %v)", at, s.now))
-	}
-	s.seq++
-	s.shards[sh].queue.push(event{at: at, seq: s.seq, fn: fn})
-}
-
-// Ticker invokes fn every interval seconds as a global event, like
-// Engine.Ticker.
-func (s *Sharded) Ticker(start, interval Time, fn func(now Time) bool) {
-	if interval <= 0 {
-		panic("simulation: ticker interval must be positive")
-	}
-	var tick func()
-	at := start
-	tick = func() {
-		if !fn(s.now) {
-			return
-		}
-		at += interval
-		s.At(at, tick)
-	}
-	s.At(start, tick)
-}
-
-// Stop halts the run loop after the currently executing global event
-// returns. Local callbacks must not call it.
-func (s *Sharded) Stop() {
-	s.checkContext("stopping")
-	s.stopped = true
-}
-
-// barrierKey returns the ordering key of the earliest pending global event,
-// or (horizon+1, 0) when none is pending within the horizon — the open
-// window in which shards drain everything they have left.
-func (s *Sharded) barrierKey(horizon Time) (Time, uint64, bool) {
-	if len(s.global) == 0 || s.global[0].at > horizon {
-		return horizon + 1, 0, false
-	}
-	return s.global[0].at, s.global[0].seq, true
-}
-
-// runWindow executes, on every shard, the local events ordered before the
-// (at, seq) barrier key and not past the horizon.
-func (s *Sharded) runWindow(bAt Time, bSeq uint64, horizon Time) {
-	runnable := s.runnable[:0]
-	for i := range s.shards {
-		q := s.shards[i].queue
-		if len(q) == 0 || q[0].at > horizon {
-			continue
-		}
-		if q[0].at < bAt || (q[0].at == bAt && q[0].seq < bSeq) {
-			runnable = append(runnable, i)
-		}
-	}
-	s.runnable = runnable
-	if len(runnable) == 0 {
-		return
-	}
-
-	s.stats.Windows++
-	if len(runnable) > 1 {
-		s.stats.MultiShardWindows++
-	}
-	if len(runnable) > s.stats.MaxShardsInWindow {
-		s.stats.MaxShardsInWindow = len(runnable)
-	}
-
-	run := func(t int) {
-		sh := &s.shards[runnable[t]]
-		for len(sh.queue) > 0 {
-			e := &sh.queue[0]
-			if e.at > horizon || e.at > bAt || (e.at == bAt && e.seq >= bSeq) {
-				break
-			}
-			next := sh.queue.pop()
-			sh.now = next.at
-			next.fn()
-			sh.processed++
-		}
-	}
-	s.inShard.Store(true)
-	if s.pool == nil || len(runnable) == 1 {
-		for t := range runnable {
-			run(t)
-		}
-	} else {
-		s.pool.ForkJoin(len(runnable), run)
-	}
-	s.inShard.Store(false)
-}
-
-// shardEventBefore reports whether any shard's next event is ordered
-// before the (at, seq) key — the test that decides whether the global
-// drain must pause for a window.
-func (s *Sharded) shardEventBefore(at Time, seq uint64) bool {
-	for i := range s.shards {
-		q := s.shards[i].queue
-		if len(q) == 0 {
-			continue
-		}
-		if q[0].at < at || (q[0].at == at && q[0].seq < seq) {
-			return true
-		}
-	}
-	return false
-}
-
-// Run executes events in windows until every heap drains or the clock
-// would pass horizon (events at exactly horizon still run). It returns the
-// number of events executed during this call. Semantics match Engine.Run:
-// Stop (from a global event) halts after that event; the clock advances to
-// the horizon when the queues drain first.
-//
-// Each iteration is one barrier cycle: run the window below the earliest
-// global, then drain consecutive globals — executing, in (at, seq) order,
-// every pending global not preceded by any shard-local event — before
-// scanning for the next window. A same-instant arrival storm (or any batch
-// of back-to-back globals) therefore costs one barrier, not one per event;
-// the execution order is exactly the sequential engine's either way.
-func (s *Sharded) Run(horizon Time) uint64 {
-	s.stopped = false
-	start := s.Processed()
-	for !s.stopped {
-		bAt, bSeq, haveGlobal := s.barrierKey(horizon)
-		s.runWindow(bAt, bSeq, horizon)
-		if !haveGlobal {
-			// No global event within the horizon: the shards just drained
-			// everything runnable, so the simulation is done.
-			break
-		}
-		s.stats.Barriers++
-		for !s.stopped {
-			next := s.global.pop()
-			s.now = next.at
-			// Keep shard clocks from reading behind the barrier.
-			for i := range s.shards {
-				if s.shards[i].now < s.now {
-					s.shards[i].now = s.now
-				}
-			}
-			next.fn()
-			s.processed++
-			s.stats.GlobalEvents++
-			if len(s.global) == 0 || s.global[0].at > horizon ||
-				s.shardEventBefore(s.global[0].at, s.global[0].seq) {
-				break
-			}
-		}
-	}
-	s.stats.LocalEvents = s.Processed() - s.stats.GlobalEvents
-	if !s.stopped && s.now < horizon && s.Pending() == 0 {
-		s.now = horizon
-	}
-	return s.Processed() - start
-}
+// NewSharded returns NewFleet(n): one lane per shard.
+func NewSharded(n int) *Sharded { return NewFleet(n) }

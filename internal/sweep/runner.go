@@ -35,8 +35,8 @@ type Options struct {
 	Pool *par.Pool
 	// BaseSeed roots per-run seed derivation; 0 means Matrix.Base.Seed.
 	BaseSeed uint64
-	// ShardEvents runs every study on the per-VC sharded event engine
-	// (one shard per VC). Results are bit-identical either way; when the
+	// ShardEvents runs every study with per-VC event sharding (one Fleet
+	// lane per VC). Results are bit-identical either way; when the
 	// sweep saturates the pool with studies the shard windows run inline
 	// anyway, so this mainly helps sweeps with fewer scenarios than
 	// workers, where idle workers pick up the window fork-joins.
@@ -194,7 +194,7 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 			// pick them up, busy pools degrade to inline. Either way the
 			// study result is bit-identical (see core.Study.SetPool).
 			if opts.ShardEvents {
-				st.ShardEvents(0)
+				st.ShardEvents()
 			}
 			st.SetPool(pool)
 			// Stream per-job results into the reduction as they finish,

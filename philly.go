@@ -92,7 +92,7 @@ func Run(cfg Config) (*StudyResult, error) { return RunWith(cfg, RunOptions{Work
 
 // RunParallel executes a study with intra-study parallelism: the event
 // loop shards per virtual cluster, and the per-tick telemetry walk,
-// multi-rack placement scoring, and large log scans fan out across a
+// multi-rack placement scoring and speculative placement fan out across a
 // worker pool of the given size (<= 0 means GOMAXPROCS). The result is
 // bit-identical to Run for every worker count — parallelism changes
 // wall-clock only (see PERFORMANCE.md for the determinism argument).
@@ -105,16 +105,13 @@ type RunOptions struct {
 	// Workers is the fork-join worker budget: 1 runs everything inline on
 	// the calling goroutine, <= 0 means GOMAXPROCS.
 	Workers int
-	// ShardEvents routes the study onto the per-VC sharded event engine
-	// (internal/simulation.Sharded): shard-local work — failure-log
-	// classification, convergence analysis — runs concurrently across VCs
-	// inside virtual-time windows, while shared-state events execute at
-	// window barriers in the sequential engine's exact order. Results are
-	// bit-identical with it on or off, at any shard count.
+	// ShardEvents routes the study onto per-VC event sharding (an
+	// internal/simulation.Fleet with one lane per virtual cluster):
+	// shard-local work — failure-log classification, convergence analysis
+	// — runs concurrently across VCs inside virtual-time windows, while
+	// shared-state events execute at window barriers in the sequential
+	// engine's exact order. Results are bit-identical with it on or off.
 	ShardEvents bool
-	// Shards is the event-shard count when ShardEvents is set; <= 0 means
-	// one shard per virtual cluster.
-	Shards int
 }
 
 // RunWith executes a study with explicit parallelism options.
@@ -124,7 +121,7 @@ func RunWith(cfg Config, opts RunOptions) (*StudyResult, error) {
 		return nil, fmt.Errorf("philly: %w", err)
 	}
 	if opts.ShardEvents {
-		st.ShardEvents(opts.Shards)
+		st.ShardEvents()
 	}
 	if opts.Workers != 1 {
 		pool := par.NewPool(opts.Workers)
