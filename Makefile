@@ -1,19 +1,26 @@
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: check vet build test race bench bench-sweep bench-json bench-smoke bench-compare bench-mem shuffle fuzz serve-smoke perfbench
 
-# check is the CI gate: vet, build everything, then the full test suite
-# under the race detector — which now covers the intra-study parallel
-# pipeline end to end, including TestWorkerCountInvariance (full-precision
-# StudyResult equality across intra-study worker counts 1/2/4/8 and the
-# sequential engine) — a one-iteration benchmark smoke so the bench path
-# itself cannot rot, a philly-load self-test against an in-process
+# check is the CI gate: vet (with the gofmt gate), build everything, then
+# the full test suite under the race detector — which covers the
+# intra-study fork-joins (speculative placement, Fleet windows) end to
+# end, including TestWorkerCountInvariance (full-precision StudyResult
+# equality across intra-study worker counts 1/2/4/8, per-VC sharding and
+# the sequential engine) — a one-iteration benchmark smoke so the bench
+# path itself cannot rot, a philly-load self-test against an in-process
 # philly-serve so the service path cannot either, and the benchmark
 # module's own vet and tests.
 check: vet build race bench-smoke serve-smoke perfbench
 
+# vet also fails when gofmt would rewrite a tracked Go file. The list
+# comes from git rather than `gofmt -l .`, which would descend into the
+# module cache the benchmark build leaves under .bench_build/.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$($(GOFMT) -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

@@ -506,15 +506,15 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 
 // BenchmarkStudyParallel is the intra-study scaling curve: ONE study —
 // paper-scale cluster (~2050 GPUs, 288 servers), minute telemetry — at
-// increasing intra-study worker counts. The telemetry walk dominates
-// whole-study profiles at this shape (see PERFORMANCE.md), which is what
-// the parallel pipeline shards; TestWorkerCountInvariance separately pins
-// the StudyResult bit-identical across all of these worker counts, so this
-// benchmark is purely a wall-clock trajectory. workers=1 is the inline
-// path on the sequential engine and doubles as its regression guard;
-// workers >= 2 run the per-VC sharded event engine end to end
-// (RunParallel shards events whenever workers != 1), so the curve also
-// prices the window merge.
+// increasing intra-study worker counts. The telemetry walk is sequential
+// on every leg; what the workers share is speculative placement and, on
+// the per-VC sharded event engine, the window lanes.
+// TestWorkerCountInvariance separately pins the StudyResult bit-identical
+// across all of these worker counts, so this benchmark is purely a
+// wall-clock trajectory. workers=1 is the inline path on the sequential
+// engine and doubles as its regression guard; workers >= 2 run the per-VC
+// sharded event engine end to end (RunParallel shards events whenever
+// workers != 1), so the curve prices the window merge.
 func BenchmarkStudyParallel(b *testing.B) {
 	// A quarter-length window at the paper's full arrival rate and cluster
 	// scale: the running set peaks in the thousands, like the full study.

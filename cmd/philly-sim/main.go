@@ -22,11 +22,11 @@
 // (philly-trace spec CSV, a previous run's jobs.csv/trace.json, or the
 // msr-fiddle philly-traces JSON) instead of the generative workload.
 //
-// -workers shards the study's telemetry walk and placement scoring across
-// that many cores (default: all), and -shard-events (default on, effective
-// when -workers > 1) additionally partitions the event loop itself per
-// virtual cluster with a deterministic virtual-time-window merge. Output
-// is bit-identical for any worker count and either engine; only wall-clock
+// -workers fans the study's speculative placement searches out across that
+// many cores (default: all), and -shard-events (default on, effective when
+// -workers > 1) additionally partitions the event loop itself per virtual
+// cluster with a deterministic virtual-time-window merge. Output is
+// bit-identical for any worker count and either engine; only wall-clock
 // changes. To sweep many studies instead, use philly-sweep, whose -workers
 // flag is the same budget spent across studies first.
 //

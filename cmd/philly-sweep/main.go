@@ -19,10 +19,10 @@
 //
 // -workers is one shared budget for both parallelism layers: the pool runs
 // one study per worker while the queue is full, and workers that go idle
-// near the end pick up the remaining studies' intra-study shards (telemetry
-// chunks, placement scoring) instead of sitting out — never more than
-// -workers tasks in flight in total, and never an idle core while work
-// remains. philly-sim/-repro's -workers is the same budget spent entirely
+// near the end pick up the remaining studies' intra-study fork-joins
+// (speculative placement, event windows) instead of sitting out — never
+// more than -workers tasks in flight in total, and never an idle core
+// while work remains. philly-sim/-repro's -workers is the same budget spent entirely
 // within one study.
 //
 // -shard-events additionally runs every study on the per-VC sharded event

@@ -19,8 +19,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-
-	"philly/internal/par"
 )
 
 // SKU describes a server hardware class. The paper's cluster has two SKUs:
@@ -229,11 +227,6 @@ type Cluster struct {
 	// instead so they can run concurrently (see placement.go).
 	inline searchCtx
 
-	// pool, when set, fans multi-rack placement scoring out as fork-join
-	// tasks (see placement.go); feasScratch is the per-rack verdict buffer.
-	pool        *par.Pool
-	feasScratch []rackFeasibility
-
 	// epoch is the cluster-wide free-state epoch; cacheOn, failCache and
 	// the search counters implement the rack-epoch negative-result cache
 	// (see epoch.go).
@@ -256,7 +249,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{placements: make(map[JobID]Placement), cacheOn: true}
 	c.inline.c = c
-	c.inline.inline = true
 	serverID := 0
 	for rackID, rc := range cfg.Racks {
 		if rc.Servers <= 0 {

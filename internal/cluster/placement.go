@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"math/bits"
-
-	"philly/internal/par"
-)
+import "math/bits"
 
 // Locality is the constraint level a placement search must satisfy. The
 // Philly scheduler starts at the strictest level and relaxes after repeated
@@ -59,12 +55,7 @@ func (l Locality) String() string {
 
 // searchCtx is one placement-search scratch context.
 type searchCtx struct {
-	c *Cluster
-	// inline marks the cluster's own context, the only one allowed to use
-	// the shared fork-join pool for per-rack feasibility scoring (Searcher
-	// contexts already run inside a fork-join; nesting would just shuffle
-	// the same work). Results are identical either way by construction.
-	inline      bool
+	c           *Cluster
 	rackScratch []*Rack
 	picks       []pick
 }
@@ -150,11 +141,7 @@ func (x *searchCtx) findPacked(n int) (Placement, bool) {
 	}
 	// Multi-server case: the job must span servers. Require the minimal
 	// server count for the rack's SKU and a single rack.
-	racks := x.racksByFreeDesc()
-	if x.inline && x.c.parallelScoring(racks) {
-		return x.findFirstFeasible(racks, n, true)
-	}
-	for _, rack := range racks {
+	for _, rack := range x.racksByFreeDesc() {
 		if rack.free < n {
 			continue
 		}
@@ -173,11 +160,7 @@ func (x *searchCtx) findWithinRack(n int) (Placement, bool) {
 	if p, ok := x.bestFitSingleServer(n); ok {
 		return p, true
 	}
-	racks := x.racksByFreeDesc()
-	if x.inline && x.c.parallelScoring(racks) {
-		return x.findFirstFeasible(racks, n, false)
-	}
-	for _, rack := range racks {
+	for _, rack := range x.racksByFreeDesc() {
 		if rack.free < n {
 			continue
 		}
@@ -189,73 +172,10 @@ func (x *searchCtx) findWithinRack(n int) (Placement, bool) {
 	return Placement{}, false
 }
 
-// SetPool attaches a fork-join pool for multi-rack placement scoring. A nil
-// pool (the default) keeps the sequential scan; placements are identical
-// either way — the parallel path scores every rack and then selects the
-// first feasible one in the same (free desc, ID) order the scan visits.
-func (c *Cluster) SetPool(p *par.Pool) { c.pool = p }
-
-// minRacksParallel gates parallel scoring: the per-rack feasibility count
-// is microseconds of work, so fan-out only pays when a search must touch
-// many racks (the fully-congested "scan everything, place nothing" case
-// that dominates blocked-queue retries on big clusters).
-const minRacksParallel = 8
-
-func (c *Cluster) parallelScoring(racks []*Rack) bool {
-	return c.pool != nil && len(racks) >= minRacksParallel
-}
-
-// rackFeasibility is one rack's scored verdict for a pending gang.
-type rackFeasibility struct {
-	rem  int // free GPUs still missing after gathering from this rack
-	used int // servers the gather would touch
-}
-
-// findFirstFeasible scores every rack concurrently (a read-only count of
-// the gather walk, no pick recording) and takes the first feasible rack in
-// racks order — exactly the rack the sequential scan would have committed
-// to — then re-gathers picks from that rack alone. Inline-context only.
-func (x *searchCtx) findFirstFeasible(racks []*Rack, n int, packed bool) (Placement, bool) {
-	c := x.c
-	if cap(c.feasScratch) < len(racks) {
-		c.feasScratch = make([]rackFeasibility, len(racks))
-	}
-	feas := c.feasScratch[:len(racks)]
-	c.pool.ForkJoin(len(racks), func(i int) {
-		rack := racks[i]
-		if rack.free < n {
-			feas[i] = rackFeasibility{rem: n}
-			return
-		}
-		rem, used := rack.countGather(n)
-		feas[i] = rackFeasibility{rem: rem, used: used}
-	})
-	for i, rack := range racks {
-		if feas[i].rem != 0 {
-			continue
-		}
-		if packed {
-			per := rack.SKU.GPUsPerServer
-			if feas[i].used > (n+per-1)/per {
-				continue
-			}
-		}
-		x.picks = x.picks[:0]
-		if rem, _ := x.gatherFromRack(rack, n); rem != 0 {
-			// The scored walk and the pick walk read the same immutable
-			// snapshot; disagreement means the event loop mutated state
-			// mid-search, which the single-threaded engine forbids.
-			panic("cluster: rack feasibility diverged from gather")
-		}
-		return x.materializePicks(n), true
-	}
-	return Placement{}, false
-}
-
 // countGather is gatherFromRack without pick recording: it walks the same
 // buckets in the same order and returns the same (remaining, used) pair,
-// but touches no shared scratch, so any number of racks can be scored
-// concurrently.
+// but touches no shared scratch — the epoch cache's per-rack feasibility
+// re-check (see epoch.go).
 func (r *Rack) countGather(need int) (int, int) {
 	used := 0
 	for f := r.SKU.GPUsPerServer; f >= 1 && need > 0; f-- {

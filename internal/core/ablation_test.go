@@ -31,7 +31,6 @@ func TestCacheSpeculationAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the ablation matrix is not a -short test")
 	}
-	lowerTickGate(t)
 	on := parallelConfig()
 	// Compress the arrival window so the cluster actually congests: blocked
 	// retries, cache short-circuits, speculative conflicts and fair-share

@@ -8,15 +8,15 @@ import (
 	"philly/internal/scheduler"
 )
 
-// parallelConfig is a configuration big enough to exercise multi-chunk
-// telemetry sharding (more than jobChunkSize concurrently running jobs,
-// more than hostChunkSize servers) while staying fast enough to run ~30
-// times in this test file.
+// parallelConfig is a configuration big enough to exercise the multi-chunk
+// telemetry fold (more than telemetryChunkSize concurrently running jobs,
+// more than telemetryChunkSize servers) while staying fast enough to run
+// ~30 times in this test file.
 func parallelConfig() Config {
 	cfg := SmallConfig()
-	// Triple the 8-GPU racks: 81 servers > hostChunkSize guarantees host
-	// chunking; the widened cluster lets >jobChunkSize 1-GPU jobs run at
-	// once so job chunking engages too.
+	// Triple the racks: 117 servers > telemetryChunkSize guarantees host
+	// chunking; the widened cluster lets >telemetryChunkSize 1-GPU jobs run
+	// at once so job chunking engages too.
 	for i := range cfg.Cluster.Racks {
 		cfg.Cluster.Racks[i].Servers *= 3
 	}
@@ -48,19 +48,6 @@ func runWithPool(t *testing.T, cfg Config, workers int) (*StudyResult, *Study) {
 		t.Fatal(err)
 	}
 	return res, st
-}
-
-// lowerTickGate forces every pooled tick through the parallel telemetry
-// pipeline for the duration of a test: at test scale the production gate
-// (tuned for microsecond tick work) would otherwise route all ticks to the
-// fused sequential walk and the pipeline under test would never execute.
-// Bit-identity must hold for any fixed gate value, so lowering it changes
-// only which code path produces the (identical) samples.
-func lowerTickGate(t *testing.T) {
-	t.Helper()
-	old := parallelTickMin
-	parallelTickMin = 1
-	t.Cleanup(func() { parallelTickMin = old })
 }
 
 // runShardedWithPool executes one study with per-VC event sharding over a
@@ -95,36 +82,32 @@ func runShardedWithPool(t *testing.T, cfg Config, workers int) (*StudyResult, *S
 // reflect.DeepEqual compares unexported recorder state too, so this is
 // strictly stronger than hashing a rendered report.
 //
-// workers=1 runs the parallel pipeline's code shape inline (draw tasks
-// then fold tasks on one goroutine), so the sequential-vs-1-worker leg
-// pins the fused-walk ≡ draw+fold-groups equivalence; workers ≥ 2 add real
-// concurrency (and, under make check, the race detector). The sharded legs
-// additionally pin the window merge: shard-local prepare steps interleave
-// differently across VC lanes than the sequential event order, and the
-// result must not care.
+// On the sequential engine the pool carries the scheduler's speculative
+// candidate searches; workers=1 runs them inline on one goroutine, workers
+// ≥ 2 adds real concurrency (and, under make check, the race detector).
+// The sharded legs additionally pin the window merge: shard-local prepare
+// steps interleave differently across VC lanes than the sequential event
+// order, and the result must not care. The telemetry walk is sequential on
+// every leg; TestStudyOutputGolden in the root package pins its fold order.
 func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run invariance matrix is not a -short test")
 	}
-	lowerTickGate(t)
 	cfg := parallelConfig()
 	for _, policy := range []scheduler.Policy{scheduler.PolicyPhilly, scheduler.PolicyFIFO} {
 		for _, seed := range []uint64{1, 7, 42} {
 			cfg.Scheduler.Policy = policy
 			cfg.Seed = seed
 			seq, seqStudy := runWithPool(t, cfg, 0)
-			// The invariance claim is only interesting if sharding actually
-			// happened: require multiple host chunks (servers) and multiple
-			// job chunks (peak running set) at some tick.
+			// The config must exercise the multi-chunk telemetry fold:
+			// require multiple host chunks (servers) and multiple job
+			// chunks (peak running set) at some tick.
 			if n := seqStudy.cluster.NumServers(); n <= telemetryChunkSize {
 				t.Fatalf("config too small: %d servers never shard the host walk", n)
 			}
 			if seqStudy.maxLiveRunning <= telemetryChunkSize {
 				t.Fatalf("config too small: peak running set %d never shards the job walk",
 					seqStudy.maxLiveRunning)
-			}
-			if seqStudy.parallelTicks != 0 {
-				t.Fatal("no-pool run must use the fused sequential walk")
 			}
 			// The speculative placement path is on by default and its
 			// counters are part of the compared result, so the matrix
@@ -134,12 +117,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("policy=%v seed=%d: no speculative placement commits", policy, seed)
 			}
 			for _, workers := range []int{1, 2, 4, 8} {
-				res, st := runWithPool(t, cfg, workers)
-				// Guard against the gate (or a future refactor) silently
-				// routing pooled ticks back to the fused walk.
-				if st.parallelTicks == 0 {
-					t.Fatalf("workers=%d never entered the parallel telemetry pipeline", workers)
-				}
+				res, _ := runWithPool(t, cfg, workers)
 				if !reflect.DeepEqual(seq, res) {
 					diffStudyResults(t, seq, res)
 					t.Fatalf("policy=%v seed=%d workers=%d diverged from sequential engine",
@@ -190,7 +168,6 @@ func TestMillionEventInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the million-event invariance matrix is not a -short test")
 	}
-	lowerTickGate(t)
 	cfg := parallelConfig()
 	// Hold the arrival rate at 5000 jobs per parallelConfig duration — a
 	// saturating load where queue churn, preemption and telemetry ticks
@@ -218,9 +195,6 @@ func TestMillionEventInvariance(t *testing.T) {
 	}
 	for _, workers := range cells {
 		res, st := runShardedWithPool(t, cfg, workers)
-		if st.parallelTicks == 0 {
-			t.Fatalf("workers=%d never entered the parallel telemetry pipeline", workers)
-		}
 		if !reflect.DeepEqual(seq, res) {
 			diffStudyResults(t, seq, res)
 			t.Fatalf("sharded workers=%d diverged from sequential engine at scale", workers)
@@ -255,9 +229,8 @@ func diffStudyResults(t *testing.T, a, b *StudyResult) {
 
 // TestPoolStreamingEquivalence checks that StreamJobs (the sweep's path)
 // composes with the pool: streamed-and-released results must match the
-// non-streaming run's scalar fields under parallel telemetry.
+// non-streaming run's scalar fields on a pooled study.
 func TestPoolStreamingEquivalence(t *testing.T) {
-	lowerTickGate(t)
 	cfg := parallelConfig()
 	cfg.Workload.TotalJobs = 300
 	plain, _ := runWithPool(t, cfg, 0)
@@ -282,9 +255,6 @@ func TestPoolStreamingEquivalence(t *testing.T) {
 	}
 	if streamed == 0 {
 		t.Fatal("observer never called")
-	}
-	if st.parallelTicks == 0 {
-		t.Fatal("pooled run never entered the parallel telemetry pipeline")
 	}
 	for i := range res.Jobs {
 		if res.Jobs[i].MeanUtil != plain.Jobs[i].MeanUtil {

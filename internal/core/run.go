@@ -187,8 +187,7 @@ type jobState struct {
 	// meta is the telemetry grouping key for the current episode.
 	meta telemetry.JobMeta
 	// usage is the job's telemetry accumulator handle, created on first
-	// start. Telemetry shards update it directly: a job belongs to exactly
-	// one chunk per tick, so the handle is never written concurrently.
+	// start; the telemetry walk updates it directly.
 	usage *telemetry.JobUsage
 	// stream is the job's pre-split utilization stream — splitmix64-derived
 	// from (studySeed, jobID), seeded in place on first start (streamInit).
@@ -293,15 +292,12 @@ type Study struct {
 	hostStreams []stats.RNG
 
 	// pool is the shared fork-join worker pool (nil = run everything
-	// inline). Parallelism never changes results: shards are cut on fixed,
-	// worker-count-independent boundaries and folded in shard order.
+	// inline). Parallelism never changes results: the scheduler's
+	// speculative searches commit in candidate order and Fleet windows
+	// merge in (at, seq) order.
 	pool *par.Pool
-	// parallelTicks counts telemetry ticks that took the fork-join path —
-	// deterministic (the gate compares list lengths only), used by tests
-	// asserting a run actually exercised the parallel pipeline.
-	parallelTicks int
 	// maxLiveRunning tracks the high-water mark of the running set, for
-	// tests asserting the job walk actually sharded.
+	// tests asserting the job walk actually chunked.
 	maxLiveRunning int
 
 	// detReason marks failure-reason codes that reproduce deterministically
@@ -517,11 +513,11 @@ func (s *Study) WindowStats() simulation.WindowStats {
 }
 
 // SetPool attaches a shared fork-join worker pool for intra-study
-// parallelism: the telemetry walk, multi-rack placement scoring, the
-// scheduler's speculative candidate searches and, under ShardEvents, the
-// event windows shard across it. Must be called before Run. The pool
-// changes wall-clock only — StudyResult is bit-identical for any pool
-// size, including none (see PERFORMANCE.md for the determinism argument).
+// parallelism: the scheduler's speculative candidate searches and, under
+// ShardEvents, the event windows fan out across it. Must be called before
+// Run. The pool changes wall-clock only — StudyResult is bit-identical for
+// any pool size, including none (see PERFORMANCE.md for the determinism
+// argument).
 //
 // The pool may be shared with other studies and with internal/sweep's
 // across-study workers: shards are handed only to workers that are idle at
@@ -529,7 +525,6 @@ func (s *Study) WindowStats() simulation.WindowStats {
 // execution with zero oversubscription.
 func (s *Study) SetPool(p *par.Pool) {
 	s.pool = p
-	s.cluster.SetPool(p)
 	s.sched.SetPool(p)
 }
 
@@ -1278,39 +1273,24 @@ func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
 	}
 }
 
-// telemetryChunkSize is the shard granularity of the telemetry walk: one
+// telemetryChunkSize is the fold granularity of the telemetry walk: one
 // chunk covers this many running-list slots or servers. The chunk→shard
 // mapping (chunk index mod telemetry.NumFoldShards) and the ascending
 // chunk order within each shard are FIXED — part of the fold-order
-// determinism contract (PERFORMANCE.md § PR 8) — so results are identical
-// for every worker count, including the sequential walk.
+// determinism contract in PERFORMANCE.md: they decide the order in which
+// each fold shard accumulates its float sums.
 const telemetryChunkSize = 64
-
-// parallelTickMin gates the fork-join on a tick's draw work, in job-draw
-// units (a host draw is two normal deviates to a job draw's one, so each
-// server counts double). Below it the whole walk is a handful of
-// microseconds and the handoff would cost more than it buys; the gate
-// compares list lengths only — worker-count-independent by construction.
-// A variable, not a const, so the invariance tests can lower it and force
-// every tick through the parallel pipeline at test scale; any fixed value
-// preserves bit-identity.
-var parallelTickMin = 1024
 
 // sampleTelemetry records one per-minute observation of the whole cluster.
 //
-// The walk is chunked: job chunks first, then host chunks, and chunk c
-// always folds into telemetry fold shard c mod NumFoldShards. The
-// sequential shape executes chunks 0..N-1 in order; the parallel shape
-// runs exactly NumFoldShards fused draw+fold tasks on one fork-join, task
-// g owning shard g and executing its chunks (c ≡ g mod NumFoldShards) in
-// the same ascending order. No buffers, no flags, no cross-task contact:
-// sampled values are a pure function of the entity's own pre-split stream
-// and episode history, and every fold shard receives its chunks in the
-// same order either way, so both shapes are bit-identical for every pool
-// size. The cross-SHARD accumulation order differs from the pre-PR 8
-// single-sink fold; Recorder.Seal merges shards in fixed shard order at
-// collection, which is the deliberate determinism-contract change
-// documented in PERFORMANCE.md § PR 8.
+// The walk is chunked: job chunks first, then host chunks, executed in
+// ascending order on the calling goroutine, and chunk c always folds into
+// telemetry fold shard c mod NumFoldShards. Sampled values are a pure
+// function of the entity's own pre-split stream and episode history;
+// Recorder.Seal merges the shards in fixed shard order at collection, so
+// the float sums are a function of the chunk layout alone. The walk stays
+// on the event goroutine: a fork-join over the fold shards measured slower
+// than it at two workers (PERFORMANCE.md).
 func (s *Study) sampleTelemetry(now simulation.Time) {
 	jobs := s.running
 	used, caps := s.cluster.UsedBySrv(), s.cluster.CapBySrv()
@@ -1320,17 +1300,8 @@ func (s *Study) sampleTelemetry(now simulation.Time) {
 
 	jobChunks := (len(jobs) + telemetryChunkSize - 1) / telemetryChunkSize
 	totalChunks := jobChunks + (len(used)+telemetryChunkSize-1)/telemetryChunkSize
-	if s.pool == nil || len(jobs)+2*len(used) < parallelTickMin {
-		for c := 0; c < totalChunks; c++ {
-			s.sampleChunk(c, jobChunks, jobs, used, caps)
-		}
-	} else {
-		s.parallelTicks++
-		s.pool.ForkJoin(telemetry.NumFoldShards, func(g int) {
-			for c := g; c < totalChunks; c += telemetry.NumFoldShards {
-				s.sampleChunk(c, jobChunks, jobs, used, caps)
-			}
-		})
+	for c := 0; c < totalChunks; c++ {
+		s.sampleChunk(c, jobChunks, jobs, used, caps)
 	}
 
 	s.occ = append(s.occ, OccupancySample{

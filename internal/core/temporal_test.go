@@ -30,7 +30,6 @@ func TestPatternWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariance matrix is not a -short test")
 	}
-	lowerTickGate(t)
 	for _, preset := range []string{workload.PatternDiurnal, workload.PatternBurst} {
 		cfg := temporalConfig(t, preset)
 		for _, seed := range []uint64{1, 42} {
@@ -65,7 +64,6 @@ func TestReplayWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariance matrix is not a -short test")
 	}
-	lowerTickGate(t)
 	cfg := parallelConfig()
 	cfg.Seed = 7
 	g := stats.NewRNG(cfg.Seed).Split("workload")

@@ -333,10 +333,9 @@ func (s *Study) StreamMemberJobs(fn func(member, i int, r *core.JobResult)) {
 }
 
 // SetPool attaches a shared fork-join pool: member lanes run concurrently
-// inside fleet windows, and each member's own parallel layers (telemetry
-// walk, placement scoring, speculative placement) draw on the same budget. Must be
-// called before Run. Pool size changes wall-clock only — the Result is
-// bit-identical for any size, including none.
+// inside fleet windows, and each member's speculative placement draws on
+// the same budget. Must be called before Run. Pool size changes wall-clock
+// only — the Result is bit-identical for any size, including none.
 func (s *Study) SetPool(p *par.Pool) {
 	s.pool = p
 	s.fleet.SetPool(p)

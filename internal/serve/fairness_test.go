@@ -158,8 +158,8 @@ func TestLargestRemainder(t *testing.T) {
 	}{
 		{8, []int{1, 1}, []int{4, 4}},
 		{8, []int{3, 1}, []int{6, 2}},
-		{7, []int{1, 1}, []int{4, 3}},          // remainder seat to the first tie
-		{1, []int{1, 1}, []int{1, 0}},          // budget below tenant count
+		{7, []int{1, 1}, []int{4, 3}}, // remainder seat to the first tie
+		{1, []int{1, 1}, []int{1, 0}}, // budget below tenant count
 		{5, []int{2, 2, 1}, []int{2, 2, 1}},
 		{0, []int{1, 2}, []int{0, 0}},
 		{4, nil, []int{}},

@@ -60,11 +60,11 @@ type LoadRecord struct {
 	// marshal as integer nanoseconds, hence the _ns tags.
 	Offset time.Duration `json:"offset_ns"`
 	// Latency is submit → result fetched (completed requests only).
-	Latency time.Duration `json:"latency_ns"`
-	Status  int           `json:"status"`
-	CacheHit bool         `json:"cache_hit"`
-	Rejected bool         `json:"rejected"`
-	Err      string       `json:"err,omitempty"`
+	Latency  time.Duration `json:"latency_ns"`
+	Status   int           `json:"status"`
+	CacheHit bool          `json:"cache_hit"`
+	Rejected bool          `json:"rejected"`
+	Err      string        `json:"err,omitempty"`
 }
 
 // LoadReport is one stage's aggregate: the saturation-report row.
@@ -86,7 +86,7 @@ type LoadReport struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	AchievedRPS float64 `json:"achieved_rps"`
 	// CacheHitPct is hits over completed requests, in percent.
-	CacheHitPct float64 `json:"cache_hit_pct"`
+	CacheHitPct float64      `json:"cache_hit_pct"`
 	Records     []LoadRecord `json:"records,omitempty"`
 }
 
@@ -122,7 +122,7 @@ func arrivalSchedule(opts LoadOptions) ([]time.Duration, error) {
 	for len(offsets) < opts.Requests {
 		t += rng.Exponential(opts.RPS * maxScale)
 		if rng.Float64()*maxScale <= rateAt(t) {
-			offsets = append(offsets, time.Duration(t * float64(time.Second)))
+			offsets = append(offsets, time.Duration(t*float64(time.Second)))
 		}
 	}
 	return offsets, nil

@@ -530,14 +530,14 @@ type TenantStats struct {
 
 // Stats is the server-wide accounting snapshot for /v1/stats.
 type Stats struct {
-	Budget          int                    `json:"budget"`
-	LeasedWorkers   int                    `json:"leased_workers"`
-	LeaseHighWater  int                    `json:"lease_high_water"`
-	QueueDepth      int                    `json:"queue_depth"`
-	CacheEntries    int                    `json:"cache_entries"`
-	CacheHits       uint64                 `json:"cache_hits"`
-	CacheMisses     uint64                 `json:"cache_misses"`
-	Tenants map[string]TenantStats `json:"tenants"`
+	Budget         int                    `json:"budget"`
+	LeasedWorkers  int                    `json:"leased_workers"`
+	LeaseHighWater int                    `json:"lease_high_water"`
+	QueueDepth     int                    `json:"queue_depth"`
+	CacheEntries   int                    `json:"cache_entries"`
+	CacheHits      uint64                 `json:"cache_hits"`
+	CacheMisses    uint64                 `json:"cache_misses"`
+	Tenants        map[string]TenantStats `json:"tenants"`
 	// JobsByState counts the retained jobs only; terminal jobs past
 	// Config.RetainJobs have aged out.
 	JobsByState map[JobState]int `json:"jobs_by_state"`

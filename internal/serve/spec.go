@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 
 	"philly/internal/core"
@@ -66,7 +67,9 @@ type Spec struct {
 	// "+"-separated member presets (philly-sim -federation grammar).
 	Federation string `json:"federation,omitempty"`
 	// Axes are philly-sweep -axis specs ("name=v1,v2", repeatable); the
-	// scenarios are the cross-product, in axis order.
+	// scenarios are the cross-product, in axis order. workload.trace is
+	// refused: its values are file paths, and Replay is the confined way
+	// to replay a trace.
 	Axes []string `json:"axes,omitempty"`
 }
 
@@ -103,6 +106,43 @@ func scaleConfig(scale string) (core.Config, error) {
 	default:
 		return core.Config{}, fmt.Errorf("unknown scale %q", scale)
 	}
+}
+
+// MaxSpecJobs caps the jobs one request may simulate, counted by
+// jobsBound before any scenario expands; a spec over it is a 400. A
+// full-scale 5-policy × 4-replica sweep is 1.9 M jobs.
+const MaxSpecJobs = 1 << 23
+
+// jobsBound is an upper bound on the jobs a resolved matrix simulates:
+// replicas × the axes' value counts × the largest study. memberJobs are
+// a study's base job counts, one per federation member (one entry for a
+// plain study); a jobs axis may replace each, so each counts as the
+// larger of the two, and the largest cluster.scale value multiplies the
+// sum. float64 saturates at +Inf instead of wrapping, so no request can
+// overflow the product into a small bound.
+func jobsBound(axes []sweep.Axis, replicas int, memberJobs []int) float64 {
+	bound := float64(replicas)
+	jobsAxis, scale := 0.0, 1.0
+	for _, ax := range axes {
+		bound *= float64(len(ax.Values))
+		if ax.Name != "jobs" && ax.Name != "cluster.scale" {
+			continue
+		}
+		for _, v := range ax.Values {
+			// ParseAxis has already validated every label as a number.
+			f, _ := strconv.ParseFloat(v.Label, 64)
+			if ax.Name == "jobs" {
+				jobsAxis = max(jobsAxis, f)
+			} else {
+				scale = max(scale, f)
+			}
+		}
+	}
+	study := 0.0
+	for _, n := range memberJobs {
+		study += max(float64(n), jobsAxis)
+	}
+	return bound * study * scale
 }
 
 // maxReplayBytes caps client-supplied replay traces. Digesting reads
@@ -184,6 +224,7 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 		}
 		r.Pattern = p.Name
 	}
+	replayJobs := 0
 	if s.Replay != "" {
 		full, digest, err := resolveReplay(traceDir, s.Replay)
 		if err != nil {
@@ -191,9 +232,11 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 		}
 		// Load once for fail-fast validation; BuildMatrix loads again at
 		// run time (the file content is pinned by the digest).
-		if _, err := trace.LoadTraceFile(full, trace.DefaultReplayOptions()); err != nil {
+		specs, err := trace.LoadTraceFile(full, trace.DefaultReplayOptions())
+		if err != nil {
 			return Resolved{}, err
 		}
+		replayJobs = len(specs)
 		r.Replay = full
 		r.ReplayDigest = digest
 	}
@@ -211,9 +254,19 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 		}
 		r.Checkpoint = canon
 	}
+	var memberJobs []int
 	if s.Federation != "" {
-		if _, err := federation.ParseSpec(0, s.Federation); err != nil {
+		fcfg, err := federation.ParseSpec(0, s.Federation)
+		if err != nil {
 			return Resolved{}, err
+		}
+		for _, m := range fcfg.Members {
+			n := m.Config.Workload.TotalJobs
+			if replayJobs > 0 {
+				// Every member replays the whole trace.
+				n = replayJobs
+			}
+			memberJobs = append(memberJobs, n)
 		}
 		var members []string
 		for _, p := range strings.Split(s.Federation, "+") {
@@ -232,6 +285,11 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 		}
 	}
 	for _, spec := range s.Axes {
+		// ParseAxis would open a workload.trace value as a file, from
+		// anywhere on disk; refuse it before parsing.
+		if name, _, _ := strings.Cut(spec, "="); name == "workload.trace" {
+			return Resolved{}, fmt.Errorf("axis workload.trace is not accepted: replay a trace from the server's trace directory with the replay field")
+		}
 		ax, err := sweep.ParseAxis(spec)
 		if err != nil {
 			return Resolved{}, err
@@ -249,6 +307,15 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 	m, err := r.BuildMatrix()
 	if err != nil {
 		return Resolved{}, err
+	}
+	if memberJobs == nil {
+		// The jobs field, the scale's default or the replayed trace.
+		memberJobs = []int{m.Base.Workload.TotalJobs}
+	}
+	// Written as !(n <= max) so a NaN bound (cluster.scale=NaN parses) is
+	// refused too.
+	if n := jobsBound(m.Axes, r.Replicas, memberJobs); !(n <= MaxSpecJobs) {
+		return Resolved{}, fmt.Errorf("spec simulates up to %.0f jobs (replicas × axis values × jobs per study), over the %d-job limit", n, MaxSpecJobs)
 	}
 	if _, err := m.Scenarios(); err != nil {
 		return Resolved{}, err

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,52 @@ func writeTinyTrace(t *testing.T, dir, name string) string {
 		t.Fatal(err)
 	}
 	return name
+}
+
+// TestSpecJobsCap pins the admission-time size bound: a spec whose jobs
+// bound (replicas × axis values × jobs per study) exceeds MaxSpecJobs is
+// refused at resolution, before its scenarios expand or any study
+// generates a job, while realistic sweeps stay under it.
+func TestSpecJobsCap(t *testing.T) {
+	values := func(n int) string {
+		v := make([]string, n)
+		for i := range v {
+			v[i] = fmt.Sprint(i + 1)
+		}
+		return strings.Join(v, ",")
+	}
+	over := []struct {
+		name string
+		spec Spec
+	}{
+		{"replicas", Spec{Replicas: 1 << 30}},
+		{"jobs", Spec{Jobs: 1 << 30}},
+		// 40 × 40 × 2 scenarios × 3,300 small-scale jobs = 10.56 M.
+		{"axis product", Spec{Axes: []string{
+			"failure.scale=" + values(40), "telemetry.cadence=" + values(40), "sched.policy=philly,fifo",
+		}}},
+		{"jobs axis", Spec{Axes: []string{"jobs=200,1073741824"}}},
+		{"cluster.scale axis", Spec{Axes: []string{"cluster.scale=1,1e300"}}},
+		{"NaN cluster.scale", Spec{Axes: []string{"cluster.scale=NaN"}}},
+	}
+	for _, tc := range over {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.spec.Resolve()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("over the %d-job limit", MaxSpecJobs)) {
+				t.Errorf("Resolve = %v, want the %d-job limit", err, MaxSpecJobs)
+			}
+		})
+	}
+	// A full-scale 5-policy × 4-replica sweep (1.9 M jobs) and the README's
+	// sweep must pass.
+	for _, spec := range []Spec{
+		{Scale: "full", Replicas: 4, Axes: []string{"sched.policy=philly,fifo,srtf,tiresias,gandiva"}},
+		{Scale: "small", Replicas: 4, Axes: []string{"sched.policy=philly,fifo"}},
+	} {
+		if _, err := spec.Resolve(); err != nil {
+			t.Errorf("Resolve(%+v) = %v, want it admitted", spec, err)
+		}
+	}
 }
 
 // TestReplayPathConfinement pins the replay path policy: relative paths
@@ -65,6 +112,28 @@ func TestReplayPathConfinement(t *testing.T) {
 				t.Errorf("resolve replay %q = %v, want error containing %q", tc.replay, err, tc.want)
 			}
 		})
+	}
+
+	// A workload.trace axis would open its value from anywhere on disk —
+	// even a valid trace by absolute path — and a parse error would echo
+	// the file's first line. It is refused before parsing, pointing to
+	// the replay field.
+	secret := filepath.Join(t.TempDir(), "secret.csv")
+	if err := os.WriteFile(secret, []byte("user,password\nalice,hunter2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{filepath.Join(dir, name), secret} {
+		_, err := Spec{Axes: []string{"workload.trace=" + p}}.resolveWithin(dir)
+		if err == nil || !strings.Contains(err.Error(), "replay field") {
+			t.Errorf("workload.trace axis %q = %v, want a refusal pointing to the replay field", p, err)
+		} else if strings.Contains(err.Error(), "password") || strings.Contains(err.Error(), "hunter2") {
+			t.Errorf("workload.trace axis error echoes the file's content: %v", err)
+		}
+	}
+	// Federated replay reaches the members through a workload.trace axis
+	// that BuildMatrix builds from the confined path; that one stays.
+	if _, err := (Spec{Federation: "philly-small+helios-like", Replay: name}).resolveWithin(dir); err != nil {
+		t.Errorf("federated replay rejected: %v", err)
 	}
 
 	// The size cap runs before the digest pass ever opens the file;

@@ -7,11 +7,10 @@
 // identical results for identical seeds — is a design requirement (every
 // figure in EXPERIMENTS.md must be regenerable bit-for-bit), and the
 // single event loop is the simplest way to guarantee it. Intra-study
-// parallelism traditionally lives one layer up and respects this
-// contract: an event callback may fork work out to a pool (the telemetry
-// draw/fold pipeline, rack scoring, speculative placement) but
-// always joins before returning, so the engine never observes concurrent
-// mutation and the event schedule is identical for every worker count.
+// parallelism one layer up respects this contract: an event callback may
+// fork work out to a pool (speculative placement) but always joins before
+// returning, so the engine never observes concurrent mutation and the
+// event schedule is identical for every worker count.
 //
 // Fleet (see fleet.go) partitions the loop itself into lanes — one per
 // virtual cluster under per-VC sharding (see sharded.go), one per member

@@ -21,8 +21,8 @@ type Options struct {
 	Replicas int
 	// Workers is the sweep's total parallelism budget — one shared
 	// internal/par pool of this size runs both the across-study workers
-	// (one study per worker) and every study's intra-study shards
-	// (telemetry chunks, placement scoring). The two layers cannot
+	// (one study per worker) and every study's intra-study fork-joins
+	// (speculative placement, event windows). The two layers cannot
 	// oversubscribe: intra-study shards are handed only to workers that
 	// are idle at that instant, so a sweep that saturates the pool with
 	// studies runs each study inline, and as the queue drains the freed

@@ -15,16 +15,14 @@
 // The recorder keeps NumFoldShards complete histogram sets alongside the
 // final ("global") one. The telemetry walk in internal/core assigns every
 // draw chunk to the fixed shard (chunk index mod NumFoldShards) and folds
-// the chunk's samples straight into that shard's set — concurrently across
-// shards under a worker pool, or one shard at a time on the sequential
-// path, with the identical chunk→shard mapping either way. Seal merges the
-// shards into the global set in fixed shard order (0..NumFoldShards-1) at
-// study end. Because the mapping and the merge order are worker-count
-// independent, results are bit-identical across pool sizes and engines;
-// the fold order within each histogram is the deliberate determinism-
-// contract change PR 8 made (PERFORMANCE.md § PR 8) — integer bucket
-// counts are order-invariant, only the float sums backing histogram means
-// shift (deterministically) relative to the pre-PR 8 sequential order.
+// the chunk's samples straight into that shard's set, chunks in ascending
+// order on the event-loop goroutine. Seal merges the shards into the
+// global set in fixed shard order (0..NumFoldShards-1) at study end.
+// Because the mapping and the merge order are fixed, results are
+// bit-identical across pool sizes and engines. The fold order is part of
+// the output contract (PERFORMANCE.md): integer bucket counts are
+// order-invariant, but the float sums backing histogram means depend on
+// it, so changing the mapping or the merge order shifts every mean.
 package telemetry
 
 import (
@@ -227,11 +225,8 @@ func (h *histSet) mergeFrom(o *histSet) {
 	must(h.hostMem.Merge(o.hostMem))
 }
 
-// Recorder aggregates telemetry. Not safe for fully concurrent use: the
-// parallel pipeline in internal/core touches disjoint state per worker —
-// each fold shard is owned by exactly one fork-join task, and a job's
-// usage accumulator by the task owning the job's chunk — and everything
-// else runs on the single event-loop goroutine.
+// Recorder aggregates telemetry. Not safe for concurrent use:
+// internal/core records from the event-loop goroutine only.
 type Recorder struct {
 	global *histSet
 	// shards are the fold-shard sets, merged into global by Seal (nil

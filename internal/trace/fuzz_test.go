@@ -19,7 +19,7 @@ const (
 		"1,vc0,u1,2,0.000,1.000,61.000,Passed,1.000,60.000,120.000,0,1,55.000,none,\n" +
 		"2,vc0,u2,4,5.000,9.000,99.000,Failed,4.000,90.000,360.000,1,2,40.000,fair-share,gpu_oom\n"
 	fuzzPhillyJSON = `[{"status":"Pass","vc":"vc1","jobid":"app1","user":"u1","submitted_time":"2017-10-01 00:00:00","attempts":[{"start_time":"2017-10-01 00:05:00","end_time":"2017-10-01 01:05:00","detail":[{"ip":"10.0.0.1","gpus":["g0","g1"]}]}]},{"status":"Killed","vc":"vc1","jobid":"app2","user":"u2","submitted_time":"2017-10-01 01:00:00","attempts":[{"start_time":"2017-10-01 01:10:00","end_time":"2017-10-01 02:00:00","detail":[{"ip":"10.0.0.2","gpus":["g0"]}]}]}]`
-	fuzzTraceJSON = `{"jobs":[{"jobid":1,"vc":"vc0","user":"u1","num_gpus":2,"submitted_time":0,"started_time":1,"finished_time":61,"status":"Passed","queue_delay":1,"run_time":60,"gpu_time":120,"retries":0,"num_servers":1,"mean_gpu_util":50,"delay_cause":"none"}],"attempts":[]}`
+	fuzzTraceJSON  = `{"jobs":[{"jobid":1,"vc":"vc0","user":"u1","num_gpus":2,"submitted_time":0,"started_time":1,"finished_time":61,"status":"Passed","queue_delay":1,"run_time":60,"gpu_time":120,"retries":0,"num_servers":1,"mean_gpu_util":50,"delay_cause":"none"}],"attempts":[]}`
 )
 
 // Both fuzz targets share one oracle: any spec stream a reader accepted

@@ -199,12 +199,12 @@ func TestReadTraceCSVRejectsForeignHeaders(t *testing.T) {
 	// Malformed spec rows must error, never panic.
 	header := strings.Join(specHeader, ",") + "\n"
 	bad := []string{
-		header + "x,vc1,u,1,0,5,Passed,1,1,1,1,0,0,\n",              // bad id
-		header + "1,vc1,u,1,0,5,Sideways,1,1,1,1,0,0,\n",            // bad outcome
-		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,7,\n",              // bad logs flag
-		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,0,nope\n",          // bad attempt encoding
-		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,0,bogus_code@3\n",  // unknown reason
-		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,0\n",               // short row
+		header + "x,vc1,u,1,0,5,Passed,1,1,1,1,0,0,\n",             // bad id
+		header + "1,vc1,u,1,0,5,Sideways,1,1,1,1,0,0,\n",           // bad outcome
+		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,7,\n",             // bad logs flag
+		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,0,nope\n",         // bad attempt encoding
+		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,0,bogus_code@3\n", // unknown reason
+		header + "1,vc1,u,1,0,5,Passed,1,1,1,1,0,0\n",              // short row
 	}
 	for i, in := range bad {
 		if _, err := ReadTraceCSV(strings.NewReader(in), opts); err == nil {

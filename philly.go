@@ -91,11 +91,11 @@ func SmallConfig() Config { return core.SmallConfig() }
 func Run(cfg Config) (*StudyResult, error) { return RunWith(cfg, RunOptions{Workers: 1}) }
 
 // RunParallel executes a study with intra-study parallelism: the event
-// loop shards per virtual cluster, and the per-tick telemetry walk,
-// multi-rack placement scoring and speculative placement fan out across a
-// worker pool of the given size (<= 0 means GOMAXPROCS). The result is
-// bit-identical to Run for every worker count — parallelism changes
-// wall-clock only (see PERFORMANCE.md for the determinism argument).
+// loop shards per virtual cluster, and the event windows and speculative
+// placement fan out across a worker pool of the given size (<= 0 means
+// GOMAXPROCS). The result is bit-identical to Run for every worker count —
+// parallelism changes wall-clock only (see PERFORMANCE.md for the
+// determinism argument).
 func RunParallel(cfg Config, workers int) (*StudyResult, error) {
 	return RunWith(cfg, RunOptions{Workers: workers, ShardEvents: workers != 1})
 }

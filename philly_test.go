@@ -2,11 +2,16 @@ package philly_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"philly"
+	"philly/internal/failures"
 )
 
 var (
@@ -148,5 +153,90 @@ func TestRunFederatedFacade(t *testing.T) {
 	}
 	if _, err := philly.ParseFederationSpec(1, "bogus-preset"); err == nil {
 		t.Fatal("bogus preset accepted")
+	}
+}
+
+// Golden output of TestStudyOutputGolden's study: the sha256 of its jobs
+// CSV followed by its trace JSON, and the math.Float64bits of its
+// telemetry means All, AllByStatus(Passed, Killed, Unsuccessful), HostCPU
+// and HostMem, in that order.
+const goldenExportSHA256 = "3f48524241481532f0e38575084d1cd7f932a409406a5eb352f615c018719bfd"
+
+var goldenMeanBits = [...]uint64{
+	0x404cd8c4b6185758, 0x404d24e33919e63f, 0x4047a262d857134b,
+	0x4052c817d7f702f0, 0x402037edbd2ac13b, 0x40425206fde40835,
+}
+
+// TestStudyOutputGolden pins one study's output bits — the trace export
+// and the telemetry float sums, which depend on the order the telemetry
+// walk folds samples in — against constants, on the sequential engine and
+// on four workers with per-VC event sharding. The invariance tests compare
+// execution shapes with each other; this test catches a change that moves
+// every shape the same way, such as a new fold order. The study is
+// SmallConfig with servers and VC quotas tripled, 1,000 jobs over a
+// quarter of the duration: 117 servers and a peak running set above 64
+// jobs, so job chunks and host chunks fold into several fold shards.
+//
+// The constants change only with a deliberate output-contract change.
+// To re-record them, run
+//
+//	go test -run TestStudyOutputGolden .
+//
+// and copy the got values from the failure messages into
+// goldenExportSHA256 and goldenMeanBits. amd64 only: other architectures
+// may fuse multiply-adds and round differently.
+func TestStudyOutputGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden float bits are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	cfg := philly.SmallConfig()
+	for i := range cfg.Cluster.Racks {
+		cfg.Cluster.Racks[i].Servers *= 3
+	}
+	for i := range cfg.Workload.VCs {
+		cfg.Workload.VCs[i].QuotaGPUs *= 3
+	}
+	cfg.Workload.TotalJobs = 1000
+	cfg.Workload.Duration /= 4
+	cfg.Seed = 1
+	runs := []struct {
+		name string
+		run  func(philly.Config) (*philly.StudyResult, error)
+	}{
+		{"sequential", philly.Run},
+		{"parallel-4", func(c philly.Config) (*philly.StudyResult, error) { return philly.RunParallel(c, 4) }},
+	}
+	for _, r := range runs {
+		res, err := r.run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := philly.NewTrace(res)
+		h := sha256.New()
+		if err := tr.WriteJobsCSV(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteJSON(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenExportSHA256 {
+			t.Errorf("%s: export sha256 = %q, want %q", r.name, got, goldenExportSHA256)
+		}
+		tel := res.Telemetry
+		means := [len(goldenMeanBits)]float64{
+			tel.All().Mean(),
+			tel.AllByStatus(failures.Passed).Mean(),
+			tel.AllByStatus(failures.Killed).Mean(),
+			tel.AllByStatus(failures.Unsuccessful).Mean(),
+			tel.HostCPU().Mean(),
+			tel.HostMem().Mean(),
+		}
+		var got [len(goldenMeanBits)]uint64
+		for i, m := range means {
+			got[i] = math.Float64bits(m)
+		}
+		if got != goldenMeanBits {
+			t.Errorf("%s: telemetry mean bits = %#v, want %#v", r.name, got, goldenMeanBits)
+		}
 	}
 }
