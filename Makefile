@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check vet build test race bench bench-sweep bench-json bench-smoke bench-compare bench-mem shuffle fuzz serve-smoke perfbench
+.PHONY: check vet build test race bench bench-sweep bench-json bench-smoke bench-compare bench-mem shuffle fuzz serve-smoke cli-smoke perfbench
 
 # check is the CI gate: vet (with the gofmt gate), build everything, then
 # the full test suite under the race detector — which covers the
@@ -10,9 +10,10 @@ GOFMT ?= gofmt
 # equality across intra-study worker counts 1/2/4/8, per-VC sharding and
 # the sequential engine) — a one-iteration benchmark smoke so the bench
 # path itself cannot rot, a philly-load self-test against an in-process
-# philly-serve so the service path cannot either, and the benchmark
-# module's own vet and tests.
-check: vet build race bench-smoke serve-smoke perfbench
+# philly-serve so the service path cannot either, a run of every study
+# CLI binary and its usage errors, and the benchmark module's own vet and
+# tests.
+check: vet build race bench-smoke serve-smoke cli-smoke perfbench
 
 # vet also fails when gofmt would rewrite a tracked Go file. The list
 # comes from git rather than `gofmt -l .`, which would descend into the
@@ -48,13 +49,16 @@ shuffle:
 # trace readers' oracle is the replay determinism contract: any accepted
 # input's spec export must round-trip byte-identically. The faults/checkpoint
 # spec parsers' oracle is the canonical rendering: accepted specs re-parse to
-# the same config and canonicalization is a fixed point. Raise FUZZTIME to
+# the same config and canonicalization is a fixed point. The serve Spec
+# JSON's oracle: no body panics resolution, and an accepted spec's resolved
+# form resolves to itself with the same canonical hash. Raise FUZZTIME to
 # dig deeper.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzReadTraceJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzParseFaultsSpec -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
+	$(GO) test -fuzz FuzzServeSpec -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
 
 # bench runs every benchmark once per reporting interval; pipe to a file to
 # record a BENCH_*.json-style trajectory for the PR log.
@@ -101,6 +105,14 @@ perfbench:
 # one shot.
 serve-smoke:
 	$(GO) run ./cmd/philly-load -requests 12 -rps 20 -specs 2 -require-cache-hit
+
+# cli-smoke builds philly-sim, philly-repro, philly-sweep and philly-trace
+# once (into .cli-smoke/), runs each at small scale requiring exit 0, and
+# runs every usage error of the shared flag group and of each command
+# requiring exit 2 with a one-line "command: problem" message. It is the
+# only check on those binaries' main packages.
+cli-smoke:
+	GO=$(GO) bash scripts/cli-smoke.sh
 
 # bench-compare diffs two bench-json baselines and prints per-benchmark
 # ns/op and allocs/op deltas. THRESHOLD (a percent) turns it into a CI

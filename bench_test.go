@@ -514,7 +514,7 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // wall-clock trajectory. workers=1 is the inline path on the sequential
 // engine and doubles as its regression guard; workers >= 2 run the per-VC
 // sharded event engine end to end (RunParallel shards events whenever
-// workers != 1), so the curve prices the window merge.
+// workers > 1), so the curve prices the window merge.
 func BenchmarkStudyParallel(b *testing.B) {
 	// A quarter-length window at the paper's full arrival rate and cluster
 	// scale: the running set peaks in the thousands, like the full study.

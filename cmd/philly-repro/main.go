@@ -4,7 +4,7 @@
 // Usage:
 //
 //	philly-repro [-scale small|medium|full] [-seed N] [-policy philly|fifo|srtf|tiresias|gandiva]
-//	             [-replicas N] [-workers N] [-shard-events] [-federation SPEC]
+//	             [-replicas N] [-workers N] [-federation SPEC]
 //	             [-faults SPEC] [-checkpoint SPEC] [-o report.txt]
 //
 // -faults and -checkpoint enable the correlated-outage engine and the
@@ -20,17 +20,14 @@
 // harness and prints a cross-scenario comparison table instead of the full
 // report — replicated over seeds, with 95% confidence intervals.
 //
-// -workers (default: all cores) is one shared parallelism budget. A single
-// run spends it *within* the study (sharded telemetry walk, placement
-// scoring); the multi-run path hands it to the sweep harness, which spends
-// it *across* studies first and lets idle workers accelerate the stragglers
-// — the two layers draw from the same pool and never oversubscribe. Results
-// are bit-identical for any worker count.
-//
-// -shard-events (default on, effective when -workers > 1) also partitions
-// the event loop per virtual cluster with a deterministic
-// virtual-time-window merge; the sweep path applies it to every study.
-// Either way, results are bit-identical to the sequential engine.
+// -workers (default 0: all cores) is one shared parallelism budget. A
+// single run spends it *within* the study: with more than one worker the
+// event loop shards per virtual cluster, and its windows and speculative
+// placement fan out across the workers. The multi-run path hands it to the
+// sweep harness, which spends it *across* studies first and lets idle
+// workers accelerate the stragglers — the two layers draw from the same
+// pool and never oversubscribe. Results are bit-identical for any worker
+// count.
 //
 // -federation runs a multi-cluster study instead of a single cluster: SPEC
 // is a "+"-separated member preset list (e.g. "philly-small+helios-like"),
@@ -41,115 +38,84 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"philly"
+	"philly/internal/cliflags"
+	"philly/internal/scheduler"
 	"philly/internal/sweep"
 )
 
 func main() {
-	scale := flag.String("scale", "small", "study scale: small, medium or full")
-	seed := flag.Uint64("seed", 1, "master random seed")
-	policy := flag.String("policy", "philly", "scheduling policy (comma-separated list sweeps): philly, fifo, srtf, tiresias, gandiva")
-	replicas := flag.Int("replicas", 1, "seed replicas; > 1 switches to the sweep comparison table")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"shared worker budget: across studies when sweeping, within the study otherwise")
-	shardEvents := flag.Bool("shard-events", true,
-		"shard the event loop per virtual cluster when -workers > 1 (results are identical either way)")
-	federationSpec := flag.String("federation", "",
-		"run a federated multi-cluster study of these '+'-separated member presets; the fleet table replaces the per-figure report")
-	faultsSpec := flag.String("faults", "",
-		"enable correlated outages: none, all, or server[+rack][+cluster], optionally :SCALE (e.g. server+rack:2)")
-	checkpointSpec := flag.String("checkpoint", "",
-		"enable the checkpoint/restore cost model: off or MIN[:WRITE_S[:RESTORE_S]] (minutes, then seconds)")
-	out := flag.String("o", "", "also write the report to this file")
-	flag.Parse()
+	fs := flag.NewFlagSet("philly-repro", flag.ContinueOnError)
+	study := cliflags.AddFleet(fs)
+	policy := fs.String("policy", "philly", "scheduling policy (comma-separated list sweeps): philly, fifo, srtf, tiresias, gandiva")
+	replicas := fs.Int("replicas", 1, "seed replicas; > 1 switches to the sweep comparison table")
+	out := fs.String("o", "", "also write the report to this file")
+	study.Parse(os.Args[1:])
 
-	// Fail fast on malformed reliability specs, before any simulation work.
-	var faultsCfg philly.FaultsConfig
-	if *faultsSpec != "" {
-		var err error
-		faultsCfg, err = philly.ParseFaultsSpec(*faultsSpec)
+	if study.Federation != "" {
+		// Replication comes from philly-sweep's fleet.members axis;
+		// silently dropping -replicas would misread as an aggregated
+		// result.
+		if study.Given("replicas") {
+			study.Fail(errors.New("-replicas is incompatible with -federation (use philly-sweep -axis fleet.members=... for replicas)"))
+		}
+		cfg, err := study.FederationConfig()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "philly-repro:", err)
-			os.Exit(2)
+			study.Fail(err)
 		}
-	}
-	var checkpointCfg philly.CheckpointConfig
-	if *checkpointSpec != "" {
-		var err error
-		checkpointCfg, err = philly.ParseCheckpointSpec(*checkpointSpec)
+		p, err := scheduler.ParsePolicy(*policy)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "philly-repro:", err)
-			os.Exit(2)
+			study.Fail(err)
 		}
-	}
-	applyReliability := func(c *philly.Config) {
-		if *faultsSpec != "" {
-			c.Faults = faultsCfg.Clone()
+		for i := range cfg.Members {
+			cfg.Members[i].Config.Scheduler.Policy = p
 		}
-		if *checkpointSpec != "" {
-			c.Checkpoint = checkpointCfg
-		}
-	}
-
-	if *federationSpec != "" {
-		// Member scale comes from the presets and replication from
-		// philly-sweep's fleet.members axis; silently dropping these flags
-		// would misread as an aggregated full-scale result.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" || f.Name == "replicas" {
-				fmt.Fprintf(os.Stderr, "philly-repro: -%s is incompatible with -federation (member presets fix the scale; use philly-sweep -axis fleet.members=... for replicas)\n", f.Name)
-				os.Exit(2)
-			}
-		})
-		if err := runFederation(*federationSpec, *seed, *policy, *workers, *out, applyReliability); err != nil {
+		if err := runFederation(cfg, study, *policy, *out); err != nil {
 			fmt.Fprintln(os.Stderr, "philly-repro:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	cfg, err := configFor(*scale)
+	cfg, err := study.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		study.Fail(err)
 	}
-	cfg.Seed = *seed
-	applyReliability(&cfg)
 
 	if strings.Contains(*policy, ",") || *replicas > 1 {
-		if err := runSweep(cfg, *scale, *policy, *replicas, *workers,
-			*shardEvents && *workers != 1, *out); err != nil {
+		ax, err := sweep.ParseAxis("sched.policy=" + *policy)
+		if err != nil {
+			study.Fail(err)
+		}
+		m := sweep.Matrix{Base: cfg, Axes: []sweep.Axis{ax}}
+		if err := runSweep(m, study, *replicas, *out); err != nil {
 			fmt.Fprintln(os.Stderr, "philly-repro:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	cfg.Scheduler.Policy, err = parsePolicy(*policy)
+	cfg.Scheduler.Policy, err = scheduler.ParsePolicy(*policy)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		study.Fail(err)
 	}
 
 	start := time.Now()
-	res, err := philly.RunWith(cfg, philly.RunOptions{
-		Workers:     *workers,
-		ShardEvents: *shardEvents && *workers != 1,
-	})
+	res, err := philly.RunParallel(cfg, study.Workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "philly-repro:", err)
 		os.Exit(1)
 	}
 	report := philly.Analyze(res)
 	fmt.Printf("scale=%s seed=%d policy=%s jobs=%d gpus=%d simulated=%v wall=%v\n\n",
-		*scale, *seed, *policy, len(res.Jobs), res.TotalGPUs, res.SimEnd, time.Since(start).Round(time.Millisecond))
+		study.Scale, study.Seed, *policy, len(res.Jobs), res.TotalGPUs, res.SimEnd, time.Since(start).Round(time.Millisecond))
 	fmt.Println(report.RenderAll())
 
 	if *out != "" {
@@ -170,19 +136,13 @@ func main() {
 // seed replicas — through the sweep harness and prints its comparison
 // table. Per-run seeds derive from (seed, scenario, replica), so the table
 // is reproducible independent of worker count.
-func runSweep(cfg philly.Config, scale, policies string, replicas, workers int, shardEvents bool, out string) error {
-	m := sweep.Matrix{Base: cfg}
-	ax, err := sweep.ParseAxis("sched.policy=" + policies)
-	if err != nil {
-		return err
-	}
-	m.Axes = append(m.Axes, ax)
+func runSweep(m sweep.Matrix, study *cliflags.Group, replicas int, out string) error {
 	start := time.Now()
-	res, err := m.Run(sweep.Options{Replicas: replicas, Workers: workers, ShardEvents: shardEvents})
+	res, err := m.Run(sweep.Options{Replicas: replicas, Workers: study.Workers})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("scale=%s seed=%d: policy comparison via sweep harness\n", scale, cfg.Seed)
+	fmt.Printf("scale=%s seed=%d: policy comparison via sweep harness\n", study.Scale, study.Seed)
 	fmt.Print(res.RenderTable())
 	fmt.Printf("wall: %v\n", time.Since(start).Round(time.Millisecond))
 	if out != "" {
@@ -196,27 +156,14 @@ func runSweep(cfg philly.Config, scale, policies string, replicas, workers int, 
 // runFederation drives the multi-cluster path: one federated study, the
 // single -policy applied to every member, output as the fleet comparison
 // table.
-func runFederation(spec string, seed uint64, policy string, workers int, out string,
-	applyReliability func(*philly.Config)) error {
-	cfg, err := philly.ParseFederationSpec(seed, spec)
-	if err != nil {
-		return err
-	}
-	p, err := parsePolicy(policy)
-	if err != nil {
-		return err
-	}
-	for i := range cfg.Members {
-		cfg.Members[i].Config.Scheduler.Policy = p
-		applyReliability(&cfg.Members[i].Config)
-	}
+func runFederation(cfg philly.FederationConfig, study *cliflags.Group, policy, out string) error {
 	start := time.Now()
-	res, err := philly.RunFederated(cfg, philly.RunOptions{Workers: workers})
+	res, err := philly.RunFederated(cfg, study.Workers)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("federation=%s seed=%d policy=%s: %d spillover move(s), %d quota change(s), wall %v\n",
-		spec, seed, policy, res.Fleet.SpilloverMoves, res.Fleet.QuotaChanges,
+		study.Federation, study.Seed, policy, res.Fleet.SpilloverMoves, res.Fleet.QuotaChanges,
 		time.Since(start).Round(time.Millisecond))
 	table := philly.AnalyzeFleet(res).Render()
 	fmt.Println(table)
@@ -226,34 +173,4 @@ func runFederation(spec string, seed uint64, policy string, workers int, out str
 		}
 	}
 	return nil
-}
-
-func configFor(scale string) (philly.Config, error) {
-	switch scale {
-	case "small":
-		return philly.SmallConfig(), nil
-	case "medium":
-		return philly.MediumConfig(), nil
-	case "full":
-		return philly.DefaultConfig(), nil
-	default:
-		return philly.Config{}, fmt.Errorf("philly-repro: unknown scale %q", scale)
-	}
-}
-
-func parsePolicy(s string) (philly.Policy, error) {
-	switch s {
-	case "philly":
-		return philly.PolicyPhilly, nil
-	case "fifo":
-		return philly.PolicyFIFO, nil
-	case "srtf":
-		return philly.PolicySRTF, nil
-	case "tiresias":
-		return philly.PolicyTiresias, nil
-	case "gandiva":
-		return philly.PolicyGandiva, nil
-	default:
-		return 0, fmt.Errorf("philly-repro: unknown policy %q", s)
-	}
 }

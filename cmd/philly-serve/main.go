@@ -60,6 +60,10 @@ import (
 // headers, so a stalled connection cannot hold a server goroutine forever.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout bounds how long a keep-alive connection may sit between
+// requests, so idle clients cannot pile up open connections.
+const idleTimeout = 2 * time.Minute
+
 // weightFlags parses -tenants name:weight[,name:weight...].
 type weightFlags map[string]int
 
@@ -116,9 +120,11 @@ func main() {
 		RetainJobs:    *retainJobs,
 		TraceDir:      *traceDir,
 	})
-	// Only the header read is bounded: SSE progress streams and result
-	// downloads are long-lived, so the server sets no WriteTimeout.
-	hs := &http.Server{Addr: *addr, Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
+	// The header read and keep-alive idling are bounded; SSE progress
+	// streams and result downloads are long-lived, so the server sets no
+	// WriteTimeout.
+	hs := &http.Server{Addr: *addr, Handler: s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	done := make(chan error, 1)
 	go func() { done <- hs.ListenAndServe() }()

@@ -5,8 +5,8 @@
 // Usage:
 //
 //	philly-sim [-scale small|medium|full] [-seed N] [-workers N]
-//	           [-shard-events] [-federation SPEC] [-pattern NAME]
-//	           [-replay FILE] [-faults SPEC] [-checkpoint SPEC] [-out DIR]
+//	           [-federation SPEC] [-pattern NAME] [-replay FILE]
+//	           [-faults SPEC] [-checkpoint SPEC] [-out DIR]
 //
 // -faults enables correlated infrastructure outages ("none", "all", or a
 // "+"-joined subset of server, rack, cluster with an optional ":SCALE"
@@ -22,13 +22,13 @@
 // (philly-trace spec CSV, a previous run's jobs.csv/trace.json, or the
 // msr-fiddle philly-traces JSON) instead of the generative workload.
 //
-// -workers fans the study's speculative placement searches out across that
-// many cores (default: all), and -shard-events (default on, effective when
-// -workers > 1) additionally partitions the event loop itself per virtual
-// cluster with a deterministic virtual-time-window merge. Output is
-// bit-identical for any worker count and either engine; only wall-clock
-// changes. To sweep many studies instead, use philly-sweep, whose -workers
-// flag is the same budget spent across studies first.
+// -workers is the study's worker budget (default 0: all cores). With more
+// than one worker the event loop shards per virtual cluster — one lane per
+// VC, advanced in deterministic virtual-time windows — and the windows and
+// speculative placement searches fan out across the workers. Output is
+// bit-identical for any worker count; only wall-clock changes. To sweep
+// many studies instead, use philly-sweep, whose -workers flag is the same
+// budget spent across studies first.
 //
 // -federation runs a multi-cluster study instead: SPEC is a "+"-separated
 // list of member presets (e.g. "philly-small+helios-like"; see philly-sim
@@ -39,65 +39,35 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
 	"philly"
+	"philly/internal/cliflags"
 	"philly/internal/profiling"
 )
 
 func main() {
-	scale := flag.String("scale", "small", "study scale: small, medium or full")
-	seed := flag.Uint64("seed", 1, "master random seed")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"intra-study worker count (results are identical for any value)")
-	shardEvents := flag.Bool("shard-events", true,
-		"shard the event loop per virtual cluster when -workers > 1 (results are identical either way)")
-	federationSpec := flag.String("federation", "",
-		"run a federated multi-cluster study of these '+'-separated member presets (e.g. philly-small+helios-like); 'help' lists presets")
-	pattern := flag.String("pattern", "",
+	fs := flag.NewFlagSet("philly-sim", flag.ContinueOnError)
+	study := cliflags.AddFleet(fs)
+	pattern := fs.String("pattern", "",
 		"temporal workload pattern preset (see philly-trace pattern); 'help' lists presets")
-	replayPath := flag.String("replay", "",
+	replayPath := fs.String("replay", "",
 		"replay this trace file (.csv or .json) instead of generating a workload")
-	faultsSpec := flag.String("faults", "",
-		"enable correlated outages: none, all, or server[+rack][+cluster], optionally :SCALE (e.g. server+rack:2)")
-	checkpointSpec := flag.String("checkpoint", "",
-		"enable the checkpoint/restore cost model: off or MIN[:WRITE_S[:RESTORE_S]] (minutes, then seconds)")
-	out := flag.String("out", "philly-out", "output directory")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-	memProfile := flag.String("memprofile", "", "write a GC-settled heap profile to this file at exit")
-	flag.Parse()
+	out := fs.String("out", "philly-out", "output directory")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a GC-settled heap profile to this file at exit")
+	study.Parse(os.Args[1:])
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "philly-sim:", err)
-		os.Exit(2)
-	}
-
-	// Fail fast on malformed reliability specs, before any simulation work.
-	var faultsCfg philly.FaultsConfig
-	if *faultsSpec != "" {
-		var err error
-		faultsCfg, err = philly.ParseFaultsSpec(*faultsSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "philly-sim:", err)
-			os.Exit(2)
-		}
-	}
-	var checkpointCfg philly.CheckpointConfig
-	if *checkpointSpec != "" {
-		var err error
-		checkpointCfg, err = philly.ParseCheckpointSpec(*checkpointSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "philly-sim:", err)
-			os.Exit(2)
-		}
+		study.Fail(err)
 	}
 
 	if *pattern == "help" {
@@ -105,67 +75,42 @@ func main() {
 		return
 	}
 
-	if *federationSpec != "" {
-		// Member scale comes from the presets; silently dropping an
-		// explicit -scale would misread as a scaled federated run.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				fmt.Fprintln(os.Stderr, "philly-sim: -scale is incompatible with -federation (member presets fix each cluster's scale)")
-				os.Exit(2)
+	if study.Federation != "" {
+		for _, f := range []struct{ flag, axis string }{{"pattern", "pattern"}, {"replay", "trace"}} {
+			if study.Given(f.flag) {
+				study.Fail(fmt.Errorf("-%s is incompatible with -federation here; use philly-sweep's workload.%s axis with fleet.members instead", f.flag, f.axis))
 			}
-			if f.Name == "pattern" || f.Name == "replay" {
-				fmt.Fprintf(os.Stderr, "philly-sim: -%s is incompatible with -federation here; use philly-sweep's workload.%s axis with fleet.members instead\n",
-					f.Name, map[string]string{"pattern": "pattern", "replay": "trace"}[f.Name])
-				os.Exit(2)
-			}
-		})
-		if err := runFederation(*federationSpec, *seed, *workers, *out,
-			*faultsSpec != "", faultsCfg, *checkpointSpec != "", checkpointCfg); err != nil {
+		}
+		cfg, err := study.FederationConfig()
+		if err != nil {
+			study.Fail(err)
+		}
+		if err := runFederation(cfg, study.Workers, *out); err != nil {
 			fmt.Fprintln(os.Stderr, "philly-sim:", err)
 			os.Exit(1)
 		}
 		return
 	}
 
-	var cfg philly.Config
-	switch *scale {
-	case "small":
-		cfg = philly.SmallConfig()
-	case "medium":
-		cfg = philly.DefaultConfig()
-		cfg.Workload.TotalJobs /= 4
-		cfg.Workload.Duration /= 4
-		cfg.Workload.MaxRuntimeMinutes = 7 * 24 * 60
-	case "full":
-		cfg = philly.DefaultConfig()
-	default:
-		fmt.Fprintf(os.Stderr, "philly-sim: unknown scale %q\n", *scale)
-		os.Exit(2)
-	}
-	cfg.Seed = *seed
-	if *faultsSpec != "" {
-		cfg.Faults = faultsCfg
-	}
-	if *checkpointSpec != "" {
-		cfg.Checkpoint = checkpointCfg
+	cfg, err := study.Config()
+	if err != nil {
+		study.Fail(err)
 	}
 	if *pattern != "" && *replayPath != "" {
 		// ApplyReplay would silently drop the pattern (the trace is the
 		// temporal authority); at the CLI that combination is a mistake.
-		fmt.Fprintln(os.Stderr, "philly-sim: -pattern and -replay are mutually exclusive (a replayed trace already fixes the arrival timeline)")
-		os.Exit(2)
+		study.Fail(errors.New("-pattern and -replay are mutually exclusive (a replayed trace already fixes the arrival timeline)"))
 	}
 	if *pattern != "" {
 		p, err := philly.PresetWorkloadPattern(*pattern)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "philly-sim:", err)
-			os.Exit(2)
+			study.Fail(err)
 		}
 		cfg.Workload.Pattern = p
 	}
 	if *replayPath != "" {
 		opts := philly.DefaultReplayOptions()
-		opts.Seed = *seed
+		opts.Seed = study.Seed
 		specs, err := philly.LoadTrace(*replayPath, opts)
 		if err == nil {
 			err = philly.ApplyReplay(&cfg, specs)
@@ -177,10 +122,7 @@ func main() {
 	}
 
 	start := time.Now()
-	res, err := philly.RunWith(cfg, philly.RunOptions{
-		Workers:     *workers,
-		ShardEvents: *shardEvents && *workers != 1,
-	})
+	res, err := philly.RunParallel(cfg, study.Workers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "philly-sim:", err)
 		os.Exit(1)
@@ -222,29 +164,10 @@ func main() {
 }
 
 // runFederation executes a federated multi-cluster study and writes one
-// artifact directory per member plus the fleet comparison table. The
-// fault and checkpoint models, when set, apply to every member.
-func runFederation(spec string, seed uint64, workers int, out string,
-	haveFaults bool, faultsCfg philly.FaultsConfig,
-	haveCkpt bool, checkpointCfg philly.CheckpointConfig) error {
-	if spec == "help" {
-		fmt.Println("federation member presets:", strings.Join(philly.FederationPresets(), ", "))
-		return nil
-	}
-	cfg, err := philly.ParseFederationSpec(seed, spec)
-	if err != nil {
-		return err
-	}
-	for i := range cfg.Members {
-		if haveFaults {
-			cfg.Members[i].Config.Faults = faultsCfg.Clone()
-		}
-		if haveCkpt {
-			cfg.Members[i].Config.Checkpoint = checkpointCfg
-		}
-	}
+// artifact directory per member plus the fleet comparison table.
+func runFederation(cfg philly.FederationConfig, workers int, out string) error {
 	start := time.Now()
-	res, err := philly.RunFederated(cfg, philly.RunOptions{Workers: workers})
+	res, err := philly.RunFederated(cfg, workers)
 	if err != nil {
 		return err
 	}

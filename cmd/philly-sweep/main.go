@@ -5,7 +5,7 @@
 // Usage:
 //
 //	philly-sweep [-scale small|medium|full] [-seed N] [-replicas N] [-workers N]
-//	             [-shard-events] [-jobs N] [-axis name=v1,v2]... [-o table|json] [-v]
+//	             [-jobs N] [-axis name=v1,v2]... [-o table|json] [-v]
 //
 // Each -axis flag adds one swept dimension; the scenarios are the
 // cross-product of all axes. Example — the §4.1 locality/fragmentation
@@ -17,19 +17,15 @@
 // only from (seed, scenario index, replica index), and intra-study
 // telemetry streams only from (run seed, entity id).
 //
-// -workers is one shared budget for both parallelism layers: the pool runs
-// one study per worker while the queue is full, and workers that go idle
-// near the end pick up the remaining studies' intra-study fork-joins
-// (speculative placement, event windows) instead of sitting out — never
-// more than -workers tasks in flight in total, and never an idle core
-// while work remains. philly-sim/-repro's -workers is the same budget spent entirely
-// within one study.
-//
-// -shard-events additionally runs every study on the per-VC sharded event
-// engine. It is off by default here: a sweep saturates the pool with whole
-// studies, so shard windows would mostly run inline anyway; turn it on for
-// sweeps with fewer runs than workers. Results are bit-identical either
-// way.
+// -workers (default 0: all cores) is one shared budget for both
+// parallelism layers: the pool runs one study per worker while the queue
+// is full, and workers that go idle near the end pick up the remaining
+// studies' intra-study fork-joins (speculative placement, federated
+// studies' fleet windows) instead of sitting out — never more than
+// -workers tasks in flight in total, and never an idle core while work
+// remains. A sweep never shards a study's event loop per virtual cluster;
+// philly-sim/-repro's -workers is the same budget spent entirely within
+// one study, which does.
 //
 // -o json emits the machine-readable sweep.Result export (format_version 1:
 // per-replica metrics, per-metric aggregates, and each scenario's applied
@@ -55,7 +51,7 @@ import (
 	"strings"
 	"time"
 
-	"philly"
+	"philly/internal/cliflags"
 	"philly/internal/profiling"
 	"philly/internal/sweep"
 )
@@ -76,32 +72,27 @@ func (a *axisFlags) Set(spec string) error {
 
 func main() {
 	var axes axisFlags
-	scale := flag.String("scale", "small", "base config scale: small, medium or full")
-	seed := flag.Uint64("seed", 1, "base seed for per-run derivation")
-	replicas := flag.Int("replicas", 4, "seed replicas per scenario")
-	workers := flag.Int("workers", 0, "shared worker budget across and within studies (0 = GOMAXPROCS)")
-	shardEvents := flag.Bool("shard-events", false,
-		"run every study on the per-VC sharded event engine (results are identical either way)")
-	jobs := flag.Int("jobs", 0, "override base workload job count (0 = scale default)")
-	output := flag.String("o", "table", "output format: table or json (machine-readable sweep.Result export)")
-	verbose := flag.Bool("v", false, "print per-run progress")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
-	memProfile := flag.String("memprofile", "", "write a GC-settled heap profile to this file at exit")
-	flag.Var(&axes, "axis", "axis spec name=v1,v2 (repeatable); known: "+strings.Join(sweep.KnownAxes(), ", "))
-	flag.Parse()
+	fs := flag.NewFlagSet("philly-sweep", flag.ContinueOnError)
+	study := cliflags.Add(fs)
+	replicas := fs.Int("replicas", 4, "seed replicas per scenario")
+	jobs := fs.Int("jobs", 0, "override base workload job count (0 = scale default)")
+	output := fs.String("o", "table", "output format: table or json (machine-readable sweep.Result export)")
+	verbose := fs.Bool("v", false, "print per-run progress")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
+	memProfile := fs.String("memprofile", "", "write a GC-settled heap profile to this file at exit")
+	fs.Var(&axes, "axis", "axis spec name=v1,v2 (repeatable); known: "+strings.Join(sweep.KnownAxes(), ", "))
+	study.Parse(os.Args[1:])
 
-	base, err := baseConfig(*scale)
+	base, err := study.Config()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "philly-sweep:", err)
-		os.Exit(2)
+		study.Fail(err)
 	}
-	base.Seed = *seed
 	if *jobs > 0 {
 		base.Workload.TotalJobs = *jobs
 	}
 
 	m := sweep.Matrix{Base: base, Axes: axes}
-	opts := sweep.Options{Replicas: *replicas, Workers: *workers, ShardEvents: *shardEvents}
+	opts := sweep.Options{Replicas: *replicas, Workers: study.Workers}
 	if *verbose {
 		opts.Progress = func(done, total int) {
 			fmt.Fprintf(os.Stderr, "\rphilly-sweep: %d/%d runs", done, total)
@@ -112,14 +103,12 @@ func main() {
 	}
 
 	if *output != "table" && *output != "json" {
-		fmt.Fprintf(os.Stderr, "philly-sweep: unknown output format %q (want table or json)\n", *output)
-		os.Exit(2)
+		study.Fail(fmt.Errorf("unknown output format %q (want table or json)", *output))
 	}
 
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "philly-sweep:", err)
-		os.Exit(2)
+		study.Fail(err)
 	}
 
 	start := time.Now()
@@ -141,18 +130,5 @@ func main() {
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(os.Stderr, "philly-sweep:", err)
 		os.Exit(1)
-	}
-}
-
-func baseConfig(scale string) (philly.Config, error) {
-	switch scale {
-	case "small":
-		return philly.SmallConfig(), nil
-	case "medium":
-		return philly.MediumConfig(), nil
-	case "full":
-		return philly.DefaultConfig(), nil
-	default:
-		return philly.Config{}, fmt.Errorf("unknown scale %q", scale)
 	}
 }

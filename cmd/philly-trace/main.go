@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"philly"
+	"philly/internal/core"
 	"philly/internal/failures"
 	"philly/internal/simulation"
 	"philly/internal/stats"
@@ -154,16 +155,9 @@ func runReplay(args []string) error {
 	if !*doRun {
 		return nil
 	}
-	var cfg philly.Config
-	switch *scale {
-	case "small":
-		cfg = philly.SmallConfig()
-	case "medium":
-		cfg = philly.MediumConfig()
-	case "full":
-		cfg = philly.DefaultConfig()
-	default:
-		return fmt.Errorf("unknown -scale %q (want small, medium or full)", *scale)
+	cfg, err := core.ScaleConfig(*scale)
+	if err != nil {
+		return err
 	}
 	cfg.Seed = *seed
 	if err := philly.ApplyReplay(&cfg, specs); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -402,5 +403,23 @@ func TestSchedulerPolicySwap(t *testing.T) {
 	}
 	if res.Sched.OutOfOrderStarts != 0 {
 		t.Errorf("FIFO produced %d out-of-order starts", res.Sched.OutOfOrderStarts)
+	}
+}
+
+// TestScaleConfig pins the scale table every CLI and the serve Spec share:
+// each name maps to its constructor, and an unknown name keeps the error
+// text the service returns for a bad scale field.
+func TestScaleConfig(t *testing.T) {
+	for name, want := range map[string]Config{"small": SmallConfig(), "medium": MediumConfig(), "full": DefaultConfig()} {
+		got, err := ScaleConfig(name)
+		if err != nil {
+			t.Fatalf("ScaleConfig(%q): %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ScaleConfig(%q) differs from its constructor", name)
+		}
+	}
+	if _, err := ScaleConfig("galactic"); err == nil || err.Error() != `unknown scale "galactic"` {
+		t.Errorf("ScaleConfig(galactic) error %v, want unknown scale \"galactic\"", err)
 	}
 }

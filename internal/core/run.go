@@ -499,9 +499,6 @@ func (s *Study) ShardEvents() {
 	s.engine = s.sharded
 }
 
-// EventSharded reports whether the study runs with per-VC event sharding.
-func (s *Study) EventSharded() bool { return s.sharded != nil }
-
 // WindowStats returns the sharded executor's deterministic window statistics
 // (zero value when the study runs on the sequential engine). Tests use it
 // to assert that multiple shards actually advanced within single windows.

@@ -244,10 +244,25 @@ func DefaultConfig() Config {
 	}
 }
 
+// ScaleConfig maps a scale name — small, medium or full — to its base
+// configuration. It is the one scale table behind every CLI's -scale
+// flag and the serve Spec's scale field.
+func ScaleConfig(name string) (Config, error) {
+	switch name {
+	case "small":
+		return SmallConfig(), nil
+	case "medium":
+		return MediumConfig(), nil
+	case "full":
+		return DefaultConfig(), nil
+	}
+	return Config{}, fmt.Errorf("unknown scale %q", name)
+}
+
 // MediumConfig returns a quarter-scale paper configuration (~2300 GPUs,
 // ~24k jobs over ~19 days) with a one-week runtime cap so the shortened
-// window still drains. It is the shared definition behind every CLI's
-// "-scale medium": the divisors are calibration, and live in one place.
+// window still drains. The divisors are calibration, and live in one
+// place.
 func MediumConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Workload.TotalJobs /= 4

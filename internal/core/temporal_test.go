@@ -44,8 +44,8 @@ func TestPatternWorkerInvariance(t *testing.T) {
 				}
 			}
 			res, st := runShardedWithPool(t, cfg, 4)
-			if !st.EventSharded() {
-				t.Fatal("sharded run did not use per-VC event sharding")
+			if st.WindowStats().LocalEvents == 0 {
+				t.Fatal("no events ran on the VC lanes")
 			}
 			if !reflect.DeepEqual(seq, res) {
 				diffStudyResults(t, seq, res)

@@ -103,6 +103,25 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy maps a policy name, as String renders it, back to the
+// policy. It is the one policy table behind philly-repro's -policy flag
+// and the sched.policy sweep axis.
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "philly":
+		return PolicyPhilly, nil
+	case "fifo":
+		return PolicyFIFO, nil
+	case "srtf":
+		return PolicySRTF, nil
+	case "tiresias":
+		return PolicyTiresias, nil
+	case "gandiva":
+		return PolicyGandiva, nil
+	}
+	return 0, fmt.Errorf("unknown policy %q (want philly, fifo, srtf, tiresias or gandiva)", name)
+}
+
 // Config parameterizes the scheduler.
 type Config struct {
 	// Backoff is the delay before a blocked job retries (paper: 2 min).

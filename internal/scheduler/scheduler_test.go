@@ -633,3 +633,19 @@ func TestPolicyNames(t *testing.T) {
 		t.Error("DelayCause names wrong")
 	}
 }
+
+// TestParsePolicyRoundTrip pins the policy table the CLIs and the
+// sched.policy sweep axis share: every policy's name parses back to it,
+// and an unknown name lists the valid ones.
+func TestParsePolicyRoundTrip(t *testing.T) {
+	for p := PolicyPhilly; p <= PolicyGandiva; p++ {
+		got, err := ParsePolicy(p.String())
+		if err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	want := `unknown policy "slurm" (want philly, fifo, srtf, tiresias or gandiva)`
+	if _, err := ParsePolicy("slurm"); err == nil || err.Error() != want {
+		t.Errorf("ParsePolicy(slurm) error %v, want %q", err, want)
+	}
+}

@@ -93,38 +93,28 @@ type Resolved struct {
 	Axes         []string `json:"axes,omitempty"`
 }
 
-// scaleConfig maps a scale name to its base configuration, with the same
-// names and error text as the philly-sweep CLI.
-func scaleConfig(scale string) (core.Config, error) {
-	switch scale {
-	case "small":
-		return core.SmallConfig(), nil
-	case "medium":
-		return core.MediumConfig(), nil
-	case "full":
-		return core.DefaultConfig(), nil
-	default:
-		return core.Config{}, fmt.Errorf("unknown scale %q", scale)
-	}
-}
-
 // MaxSpecJobs caps the jobs one request may simulate, counted by
 // jobsBound before any scenario expands; a spec over it is a 400. A
 // full-scale 5-policy × 4-replica sweep is 1.9 M jobs.
 const MaxSpecJobs = 1 << 23
 
 // jobsBound is an upper bound on the jobs a resolved matrix simulates:
-// replicas × the axes' value counts × the largest study. memberJobs are
-// a study's base job counts, one per federation member (one entry for a
-// plain study); a jobs axis may replace each, so each counts as the
-// larger of the two, and the largest cluster.scale value multiplies the
-// sum. float64 saturates at +Inf instead of wrapping, so no request can
-// overflow the product into a small bound.
-func jobsBound(axes []sweep.Axis, replicas int, memberJobs []int) float64 {
+// replicas × the axes' value counts × the largest study. A plain study is
+// baseJobs; under a fleet.members axis a study is one value's federation,
+// each member counting memberJobs(preset). A jobs axis may replace each
+// count, so each counts as the larger of the two, and the largest
+// cluster.scale value multiplies the sum. float64 saturates at +Inf
+// instead of wrapping, so no request can overflow the product into a
+// small bound.
+func jobsBound(axes []sweep.Axis, replicas, baseJobs int, memberJobs func(preset string) int) float64 {
 	bound := float64(replicas)
 	jobsAxis, scale := 0.0, 1.0
+	var fleet []sweep.Value
 	for _, ax := range axes {
 		bound *= float64(len(ax.Values))
+		if ax.Name == sweep.FleetAxisName {
+			fleet = ax.Values
+		}
 		if ax.Name != "jobs" && ax.Name != "cluster.scale" {
 			continue
 		}
@@ -138,11 +128,41 @@ func jobsBound(axes []sweep.Axis, replicas int, memberJobs []int) float64 {
 			}
 		}
 	}
-	study := 0.0
-	for _, n := range memberJobs {
-		study += max(float64(n), jobsAxis)
+	study := max(float64(baseJobs), jobsAxis)
+	if fleet != nil {
+		study = 0
+		for _, v := range fleet {
+			sum := 0.0
+			for _, preset := range v.Fleet {
+				sum += max(float64(memberJobs(preset)), jobsAxis)
+			}
+			study = max(study, sum)
+		}
 	}
 	return bound * study * scale
+}
+
+// MaxSpecStudies caps the studies one request may run — replicas × the
+// axes' value counts × federation members — counted by studiesBound
+// before any scenario expands; a spec over it is a 400. MaxSpecJobs
+// alone cannot bound this: at jobs 1 a few short axes still expand
+// millions of scenarios, each a full configuration in memory. A
+// full-scale 5-policy × 4-replica sweep is 20 studies.
+const MaxSpecStudies = 1 << 12
+
+// studiesBound counts the studies a resolved matrix runs: replicas × each
+// axis's value count, where a fleet.members value counts once per member.
+// Like jobsBound it saturates at +Inf instead of wrapping.
+func studiesBound(axes []sweep.Axis, replicas int) float64 {
+	n := float64(replicas)
+	for _, ax := range axes {
+		k := 0
+		for _, v := range ax.Values {
+			k += max(1, len(v.Fleet))
+		}
+		n *= float64(k)
+	}
+	return n
 }
 
 // maxReplayBytes caps client-supplied replay traces. Digesting reads
@@ -210,7 +230,7 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 	if r.Scale == "" {
 		r.Scale = "small"
 	}
-	if _, err := scaleConfig(r.Scale); err != nil {
+	if _, err := core.ScaleConfig(r.Scale); err != nil {
 		return Resolved{}, err
 	}
 
@@ -254,19 +274,9 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 		}
 		r.Checkpoint = canon
 	}
-	var memberJobs []int
 	if s.Federation != "" {
-		fcfg, err := federation.ParseSpec(0, s.Federation)
-		if err != nil {
+		if _, err := federation.ParseSpec(0, s.Federation); err != nil {
 			return Resolved{}, err
-		}
-		for _, m := range fcfg.Members {
-			n := m.Config.Workload.TotalJobs
-			if replayJobs > 0 {
-				// Every member replays the whole trace.
-				n = replayJobs
-			}
-			memberJobs = append(memberJobs, n)
 		}
 		var members []string
 		for _, p := range strings.Split(s.Federation, "+") {
@@ -308,14 +318,23 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 	if err != nil {
 		return Resolved{}, err
 	}
-	if memberJobs == nil {
-		// The jobs field, the scale's default or the replayed trace.
-		memberJobs = []int{m.Base.Workload.TotalJobs}
+	// A plain study runs the jobs field, the scale's default or the
+	// replayed trace; a federation member runs its preset's workload, or
+	// the replayed trace, which the federation field hands every member.
+	memberJobs := func(preset string) int {
+		if s.Federation != "" && replayJobs > 0 {
+			return replayJobs
+		}
+		pc, _ := federation.PresetConfig(preset) // ParseAxis validated the name
+		return pc.Workload.TotalJobs
 	}
 	// Written as !(n <= max) so a NaN bound (cluster.scale=NaN parses) is
 	// refused too.
-	if n := jobsBound(m.Axes, r.Replicas, memberJobs); !(n <= MaxSpecJobs) {
+	if n := jobsBound(m.Axes, r.Replicas, m.Base.Workload.TotalJobs, memberJobs); !(n <= MaxSpecJobs) {
 		return Resolved{}, fmt.Errorf("spec simulates up to %.0f jobs (replicas × axis values × jobs per study), over the %d-job limit", n, MaxSpecJobs)
+	}
+	if n := studiesBound(m.Axes, r.Replicas); n > MaxSpecStudies {
+		return Resolved{}, fmt.Errorf("spec runs up to %.0f studies (replicas × axis values × federation members), over the %d-study limit", n, MaxSpecStudies)
 	}
 	if _, err := m.Scenarios(); err != nil {
 		return Resolved{}, err
@@ -330,7 +349,7 @@ func (s Spec) resolveWithin(traceDir string) (Resolved, error) {
 // one mechanism the sweep re-applies to every member's preset
 // configuration (see sweep.federatedConfig).
 func (r Resolved) BuildMatrix() (sweep.Matrix, error) {
-	base, err := scaleConfig(r.Scale)
+	base, err := core.ScaleConfig(r.Scale)
 	if err != nil {
 		return sweep.Matrix{}, err
 	}

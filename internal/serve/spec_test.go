@@ -10,6 +10,7 @@ import (
 
 	"philly/internal/core"
 	"philly/internal/stats"
+	"philly/internal/sweep"
 	"philly/internal/trace"
 	"philly/internal/workload"
 )
@@ -35,10 +36,12 @@ func writeTinyTrace(t *testing.T, dir, name string) string {
 	return name
 }
 
-// TestSpecJobsCap pins the admission-time size bound: a spec whose jobs
-// bound (replicas × axis values × jobs per study) exceeds MaxSpecJobs is
-// refused at resolution, before its scenarios expand or any study
-// generates a job, while realistic sweeps stay under it.
+// TestSpecJobsCap pins the admission-time size bounds: a spec whose jobs
+// bound (replicas × axis values × jobs per study) exceeds MaxSpecJobs, or
+// whose studies bound (replicas × axis values × federation members)
+// exceeds MaxSpecStudies, is refused at resolution, before its scenarios
+// expand or any study generates a job, while realistic sweeps stay under
+// both.
 func TestSpecJobsCap(t *testing.T) {
 	values := func(n int) string {
 		v := make([]string, n)
@@ -60,6 +63,9 @@ func TestSpecJobsCap(t *testing.T) {
 		{"jobs axis", Spec{Axes: []string{"jobs=200,1073741824"}}},
 		{"cluster.scale axis", Spec{Axes: []string{"cluster.scale=1,1e300"}}},
 		{"NaN cluster.scale", Spec{Axes: []string{"cluster.scale=NaN"}}},
+		// 88 paper-scale members × 96,260 jobs = 8.47 M, however small the
+		// base scale.
+		{"fleet.members axis", Spec{Axes: []string{"fleet.members=" + strings.Repeat("philly-full+", 87) + "philly-full"}}},
 	}
 	for _, tc := range over {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,11 +75,40 @@ func TestSpecJobsCap(t *testing.T) {
 			}
 		})
 	}
-	// A full-scale 5-policy × 4-replica sweep (1.9 M jobs) and the README's
-	// sweep must pass.
+	// At one job per study the job bound stays small; the study bound
+	// still refuses the expansion.
+	overStudies := []struct {
+		name string
+		spec Spec
+	}{
+		// 30 × 30 × 30 = 27,000 scenarios.
+		{"axis product at jobs 1", Spec{Jobs: 1, Axes: []string{
+			"failure.scale=" + values(30), "telemetry.cadence=" + values(30), "sched.backoff-min=" + values(30),
+		}}},
+		{"replicas at jobs 1", Spec{Jobs: 1, Replicas: 5000}},
+	}
+	for _, tc := range overStudies {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := tc.spec.Resolve()
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("over the %d-study limit", MaxSpecStudies)) {
+				t.Errorf("Resolve = %v, want the %d-study limit", err, MaxSpecStudies)
+			}
+		})
+	}
+	// A federation member is a study of its own.
+	fleet, err := sweep.ParseAxis("fleet.members=philly-small+helios-like,helios-like")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := studiesBound([]sweep.Axis{fleet}, 2); n != 6 {
+		t.Errorf("studiesBound(2 replicas of a 2-member and a 1-member fleet) = %v, want 6", n)
+	}
+	// A full-scale 5-policy × 4-replica sweep (1.9 M jobs, 20 studies),
+	// the README's sweep and a federated policy sweep must pass.
 	for _, spec := range []Spec{
 		{Scale: "full", Replicas: 4, Axes: []string{"sched.policy=philly,fifo,srtf,tiresias,gandiva"}},
 		{Scale: "small", Replicas: 4, Axes: []string{"sched.policy=philly,fifo"}},
+		{Replicas: 4, Axes: []string{"sched.policy=philly,fifo", "fleet.members=philly-full+helios-like,philly-small"}},
 	} {
 		if _, err := spec.Resolve(); err != nil {
 			t.Errorf("Resolve(%+v) = %v, want it admitted", spec, err)

@@ -200,20 +200,9 @@ type axisParser func(value string) (func(*core.Config), error)
 // parses one comma-separated value into a config mutation.
 var knobs = map[string]axisParser{
 	"sched.policy": func(v string) (func(*core.Config), error) {
-		var p scheduler.Policy
-		switch v {
-		case "philly":
-			p = scheduler.PolicyPhilly
-		case "fifo":
-			p = scheduler.PolicyFIFO
-		case "srtf":
-			p = scheduler.PolicySRTF
-		case "tiresias":
-			p = scheduler.PolicyTiresias
-		case "gandiva":
-			p = scheduler.PolicyGandiva
-		default:
-			return nil, fmt.Errorf("unknown policy %q (want philly, fifo, srtf, tiresias or gandiva)", v)
+		p, err := scheduler.ParsePolicy(v)
+		if err != nil {
+			return nil, err
 		}
 		return func(c *core.Config) { c.Scheduler.Policy = p }, nil
 	},

@@ -22,11 +22,12 @@ type Options struct {
 	// Workers is the sweep's total parallelism budget — one shared
 	// internal/par pool of this size runs both the across-study workers
 	// (one study per worker) and every study's intra-study fork-joins
-	// (speculative placement, event windows). The two layers cannot
-	// oversubscribe: intra-study shards are handed only to workers that
-	// are idle at that instant, so a sweep that saturates the pool with
-	// studies runs each study inline, and as the queue drains the freed
-	// workers start accelerating the stragglers. 0 means GOMAXPROCS.
+	// (speculative placement, federated cells' fleet windows). The two
+	// layers cannot oversubscribe: intra-study shards are handed only to
+	// workers that are idle at that instant, so a sweep that saturates
+	// the pool with studies runs each study inline, and as the queue
+	// drains the freed workers start accelerating the stragglers. 0 means
+	// GOMAXPROCS.
 	// Worker count never affects results, only wall-clock.
 	Workers int
 	// Pool, when non-nil, is used instead of constructing (and closing) a
@@ -35,12 +36,6 @@ type Options struct {
 	Pool *par.Pool
 	// BaseSeed roots per-run seed derivation; 0 means Matrix.Base.Seed.
 	BaseSeed uint64
-	// ShardEvents runs every study with per-VC event sharding (one Fleet
-	// lane per VC). Results are bit-identical either way; when the
-	// sweep saturates the pool with studies the shard windows run inline
-	// anyway, so this mainly helps sweeps with fewer scenarios than
-	// workers, where idle workers pick up the window fork-joins.
-	ShardEvents bool
 	// Progress, when non-nil, is called after each completed run with
 	// (done, total). Calls come from worker goroutines, possibly
 	// concurrently; it must be safe for that.
@@ -190,12 +185,11 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 					scenarios[s].Name, r, err))
 				return
 			}
-			// Intra-study shards draw on the same pool: idle sweep workers
-			// pick them up, busy pools degrade to inline. Either way the
-			// study result is bit-identical (see core.Study.SetPool).
-			if opts.ShardEvents {
-				st.ShardEvents()
-			}
+			// Intra-study fork-joins draw on the same pool: idle sweep
+			// workers pick them up, busy pools degrade to inline. Either
+			// way the study result is bit-identical (see
+			// core.Study.SetPool). A sweep never shards a study's event
+			// loop: its workers are spent across studies first.
 			st.SetPool(pool)
 			// Stream per-job results into the reduction as they finish,
 			// so the study releases full job records in flight and the

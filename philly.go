@@ -30,6 +30,7 @@ package philly
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 
 	"philly/internal/analysis"
@@ -88,43 +89,27 @@ func SmallConfig() Config { return core.SmallConfig() }
 
 // Run executes a study to completion on the calling goroutine alone, on
 // the sequential event engine.
-func Run(cfg Config) (*StudyResult, error) { return RunWith(cfg, RunOptions{Workers: 1}) }
+func Run(cfg Config) (*StudyResult, error) { return RunParallel(cfg, 1) }
 
-// RunParallel executes a study with intra-study parallelism: the event
-// loop shards per virtual cluster, and the event windows and speculative
-// placement fan out across a worker pool of the given size (<= 0 means
-// GOMAXPROCS). The result is bit-identical to Run for every worker count —
-// parallelism changes wall-clock only (see PERFORMANCE.md for the
-// determinism argument).
+// RunParallel executes a study on a worker pool of the given size (<= 0
+// means GOMAXPROCS). With more than one worker the event loop shards per
+// virtual cluster — one internal/simulation.Fleet lane per VC, shard-local
+// work running concurrently inside virtual-time windows — and the windows
+// and speculative placement fan out across the pool; with one, the study
+// runs inline on the sequential engine. The result is bit-identical to Run
+// for every worker count — parallelism changes wall-clock only (see
+// PERFORMANCE.md for the determinism argument).
 func RunParallel(cfg Config, workers int) (*StudyResult, error) {
-	return RunWith(cfg, RunOptions{Workers: workers, ShardEvents: workers != 1})
-}
-
-// RunOptions selects how a study spends hardware.
-type RunOptions struct {
-	// Workers is the fork-join worker budget: 1 runs everything inline on
-	// the calling goroutine, <= 0 means GOMAXPROCS.
-	Workers int
-	// ShardEvents routes the study onto per-VC event sharding (an
-	// internal/simulation.Fleet with one lane per virtual cluster):
-	// shard-local work — failure-log classification, convergence analysis
-	// — runs concurrently across VCs inside virtual-time windows, while
-	// shared-state events execute at window barriers in the sequential
-	// engine's exact order. Results are bit-identical with it on or off.
-	ShardEvents bool
-}
-
-// RunWith executes a study with explicit parallelism options.
-func RunWith(cfg Config, opts RunOptions) (*StudyResult, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	st, err := core.NewStudy(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("philly: %w", err)
 	}
-	if opts.ShardEvents {
+	if workers > 1 {
 		st.ShardEvents()
-	}
-	if opts.Workers != 1 {
-		pool := par.NewPool(opts.Workers)
+		pool := par.NewPool(workers)
 		defer pool.Close()
 		st.SetPool(pool)
 	}
@@ -238,18 +223,18 @@ func ParseFederationSpec(seed uint64, spec string) (FederationConfig, error) {
 	return federation.ParseSpec(seed, spec)
 }
 
-// RunFederated executes a federated study. Workers follows RunOptions
-// semantics: the shared pool runs member clusters concurrently inside
-// fleet windows and each member's internal parallel layers. ShardEvents is
-// ignored — each member is already one event lane of the fleet
-// coordinator. The result is bit-identical for every worker count.
-func RunFederated(cfg FederationConfig, opts RunOptions) (*FederatedResult, error) {
+// RunFederated executes a federated study on a worker pool of the given
+// size (<= 0 means GOMAXPROCS): the pool runs member clusters concurrently
+// inside fleet windows, and each member's speculative placement. Each
+// member is already one event lane of the fleet coordinator, so nothing
+// shards further. The result is bit-identical for every worker count.
+func RunFederated(cfg FederationConfig, workers int) (*FederatedResult, error) {
 	st, err := federation.NewStudy(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("philly: %w", err)
 	}
-	if opts.Workers != 1 {
-		pool := par.NewPool(opts.Workers)
+	if workers != 1 {
+		pool := par.NewPool(workers)
 		defer pool.Close()
 		st.SetPool(pool)
 	}

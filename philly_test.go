@@ -135,7 +135,7 @@ func TestRunFederatedFacade(t *testing.T) {
 	for i := range cfg.Members {
 		cfg.Members[i].Config.Workload.TotalJobs = 150
 	}
-	res, err := philly.RunFederated(cfg, philly.RunOptions{Workers: 2})
+	res, err := philly.RunFederated(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
