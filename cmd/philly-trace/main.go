@@ -235,12 +235,15 @@ func summarize(specs []workload.JobSpec) {
 	}
 }
 
+// printStudySummary prints a replayed study's completed-job count and
+// queueing-delay percentiles. A replay is a plain study, never a
+// federation member, so it has no offloaded or evacuated shells to skip.
 func printStudySummary(res *philly.StudyResult) {
 	var completed int
 	var delays []float64
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
-		if !j.Completed || j.Offloaded {
+		if !j.Completed {
 			continue
 		}
 		completed++

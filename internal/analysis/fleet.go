@@ -5,55 +5,30 @@ package analysis
 // — do queueing, utilization and failure profiles transfer across members?
 // — as one per-member table with a combined fleet row.
 //
-// The counting rules (offloaded shells excluded, delay percentiles over
-// the union, count-weighted utilization) are shared with internal/sweep's
-// fleet-wide replica fold; sweep.TestFleetReduceAgreesWithAnalysis pins
-// the two against each other.
+// The table's metric columns are the study fold (fold.go): each member's
+// Tally and CombineFleet over them, the same tallies internal/sweep
+// projects onto a federated scenario's member and fleet rows. Its traffic
+// columns are federation's own per-move counters.
 
 import (
 	"fmt"
 	"strings"
 
-	"philly/internal/core"
-	"philly/internal/failures"
-	"philly/internal/stats"
+	"philly/internal/federation"
 )
 
-// FleetMember names one member's study result for aggregation.
-type FleetMember struct {
-	Name string
-	Res  *core.StudyResult
-}
-
-// FleetRow is one member's (or the combined fleet's) aggregate line:
-// queueing, utilization, failure and spillover columns.
+// FleetRow is one member's (or the combined fleet's) aggregate line: the
+// member's fold (the fleet's CombineFleet) plus its spillover and
+// evacuation traffic.
 type FleetRow struct {
 	Name string
-	// GPUs is cluster capacity; Jobs counts countable jobs (offloaded
-	// bookkeeping shells excluded), Completed those with a terminal state.
-	GPUs, Jobs, Completed int
-	// Offloaded and Received count spillover traffic at this member.
+	Tally
+	// Offloaded and Received count spillover moves out of and into this
+	// member.
 	Offloaded, Received int
 	// Evacuated counts running jobs checkpoint-migrated away from this
 	// member after an outage; Resumed counts those restored here.
 	Evacuated, Resumed int
-	// DelayP50 / DelayP95 summarize first-episode queueing delay (minutes).
-	DelayP50, DelayP95 float64
-	// UtilMean is the mean per-minute GPU utilization (%).
-	UtilMean float64
-	// GPUHours is total GPU time charged; FailedGPUHours the share burnt on
-	// failed attempts; FailedAttempts counts them.
-	GPUHours, FailedGPUHours float64
-	FailedAttempts           int
-	// UnsuccessfulPct is the share of completed jobs that exhausted retries.
-	UnsuccessfulPct float64
-	// LostGPUHours is GPU time destroyed by outage kills (work since the
-	// victims' last checkpoints); CkptGPUHours the time spent writing and
-	// restoring checkpoints. Both 0 when faults / the cost model are off.
-	LostGPUHours, CkptGPUHours float64
-	// ImbalancePct is the cross-member utilization spread (max member mean
-	// util minus min, percentage points); set on the combined row only.
-	ImbalancePct float64
 }
 
 // FleetReport is the per-member + combined aggregation of a federated
@@ -64,122 +39,34 @@ type FleetReport struct {
 	Rows []FleetRow
 }
 
-// ComputeFleet aggregates per-member and fleet-wide rows from a federated
-// study's member results.
-func ComputeFleet(members []FleetMember) FleetReport {
+// ComputeFleet aggregates a federated study into one row per member — its
+// fold replayed over the retained records, and its traffic as
+// res.Fleet.Members counted it, once per move — and the combined "fleet"
+// row: CombineFleet over the member tallies, with traffic summed.
+func ComputeFleet(res *federation.Result) FleetReport {
 	var rep FleetReport
 	fleet := FleetRow{Name: "fleet"}
-	var fleetDelay []float64
-	var fleetUtilSum float64
-	var fleetUtilN uint64
-	var utilMin, utilMax float64
-	utilMembers := 0
-	for _, m := range members {
-		row, delays := fleetRow(m.Name, m.Res)
-		rep.Rows = append(rep.Rows, row)
-
-		fleet.GPUs += row.GPUs
-		fleet.Jobs += row.Jobs
-		fleet.Completed += row.Completed
+	tallies := make([]Tally, len(res.Members))
+	for i, m := range res.Members {
+		tallies[i] = Fold(m.Result)
+		tr := res.Fleet.Members[i]
+		row := FleetRow{
+			Name:      m.Name,
+			Tally:     tallies[i],
+			Offloaded: tr.JobsOffloaded,
+			Received:  tr.JobsReceived,
+			Evacuated: tr.JobsEvacuated,
+			Resumed:   tr.JobsResumed,
+		}
 		fleet.Offloaded += row.Offloaded
 		fleet.Received += row.Received
 		fleet.Evacuated += row.Evacuated
 		fleet.Resumed += row.Resumed
-		fleet.GPUHours += row.GPUHours
-		fleet.FailedGPUHours += row.FailedGPUHours
-		fleet.FailedAttempts += row.FailedAttempts
-		fleet.LostGPUHours += row.LostGPUHours
-		fleet.CkptGPUHours += row.CkptGPUHours
-		fleetDelay = append(fleetDelay, delays...)
-		if h := m.Res.Telemetry.All(); h.Count() > 0 {
-			mean := h.Mean()
-			fleetUtilSum += mean * float64(h.Count())
-			fleetUtilN += h.Count()
-			if utilMembers == 0 || mean < utilMin {
-				utilMin = mean
-			}
-			if utilMembers == 0 || mean > utilMax {
-				utilMax = mean
-			}
-			utilMembers++
-		}
+		rep.Rows = append(rep.Rows, row)
 	}
-	fleet.DelayP50 = stats.Percentile(fleetDelay, 50)
-	fleet.DelayP95 = stats.Percentile(fleetDelay, 95)
-	if fleetUtilN > 0 {
-		fleet.UtilMean = fleetUtilSum / float64(fleetUtilN)
-	}
-	if utilMembers > 1 {
-		fleet.ImbalancePct = utilMax - utilMin
-	}
-	unsucc := 0
-	for _, m := range members {
-		for i := range m.Res.Jobs {
-			j := &m.Res.Jobs[i]
-			if j.Completed && j.Outcome == failures.Unsuccessful {
-				unsucc++
-			}
-		}
-	}
-	if fleet.Completed > 0 {
-		fleet.UnsuccessfulPct = 100 * float64(unsucc) / float64(fleet.Completed)
-	}
+	fleet.Tally = CombineFleet(tallies)
 	rep.Rows = append(rep.Rows, fleet)
 	return rep
-}
-
-// fleetRow folds one member's result, returning the row and the raw
-// first-episode delays (so the combined row takes percentiles over the
-// union, not an average of percentiles).
-func fleetRow(name string, res *core.StudyResult) (FleetRow, []float64) {
-	row := FleetRow{Name: name, GPUs: res.TotalGPUs}
-	var delays []float64
-	unsucc := 0
-	for i := range res.Jobs {
-		j := &res.Jobs[i]
-		if j.Offloaded {
-			row.Offloaded++
-			continue
-		}
-		if j.Spillover {
-			row.Received++
-		}
-		if j.Resumed {
-			row.Resumed++
-		}
-		row.GPUHours += j.GPUMinutes / 60
-		row.LostGPUHours += j.LostGPUMinutes / 60
-		row.CkptGPUHours += j.CkptGPUMinutes / 60
-		for _, att := range j.Attempts {
-			if att.Failed {
-				row.FailedAttempts++
-				row.FailedGPUHours += att.RuntimeMinutes * float64(j.Spec.GPUs) / 60
-			}
-		}
-		if j.Evacuated {
-			// Checkpoint-migration donor shell: its GPU time stays in this
-			// member's totals, but the job is counted (and completes) at the
-			// receiving member's resumed copy.
-			row.Evacuated++
-			continue
-		}
-		row.Jobs++
-		if !j.Completed {
-			continue
-		}
-		row.Completed++
-		delays = append(delays, j.FirstQueueDelay.Minutes())
-		if j.Outcome == failures.Unsuccessful {
-			unsucc++
-		}
-	}
-	row.DelayP50 = stats.Percentile(delays, 50)
-	row.DelayP95 = stats.Percentile(delays, 95)
-	row.UtilMean = res.Telemetry.All().Mean()
-	if row.Completed > 0 {
-		row.UnsuccessfulPct = 100 * float64(unsucc) / float64(row.Completed)
-	}
-	return row, delays
 }
 
 // Render prints the fleet comparison table.

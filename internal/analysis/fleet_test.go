@@ -6,71 +6,90 @@ import (
 
 	"philly/internal/cluster"
 	"philly/internal/core"
+	"philly/internal/faults"
+	"philly/internal/federation"
 	"philly/internal/simulation"
 )
 
-// fleetStudy runs one reduced study for aggregation tests.
-func fleetStudy(t *testing.T, seed uint64, jobs int) *core.StudyResult {
-	t.Helper()
+// fleetMember is a reduced study configuration for federation members.
+func fleetMember(seed uint64, servers, jobs int) core.Config {
 	cfg := core.SmallConfig()
 	cfg.Seed = seed
 	cfg.Workload.TotalJobs = jobs
 	cfg.Workload.Duration = 2 * simulation.Day
 	cfg.Cluster = cluster.Config{Racks: []cluster.RackConfig{
-		{Servers: 6, SKU: cluster.SKU8GPU},
+		{Servers: servers, SKU: cluster.SKU8GPU},
 	}}
-	st, err := core.NewStudy(cfg)
+	return cfg
+}
+
+// twoMemberFleet runs a small two-member federation that both spills and
+// evacuates: an undersized member with a whole-cluster maintenance window
+// and checkpointing on, beside a roomier one.
+func twoMemberFleet(t *testing.T) *federation.Result {
+	t.Helper()
+	tight := fleetMember(3, 4, 260)
+	tight.Faults = faults.DefaultConfig()
+	tight.Faults.Enabled = true
+	tight.Faults.Maintenance = []faults.Maintenance{
+		{Rack: -1, Start: 8 * simulation.Hour, Duration: simulation.Hour},
+	}
+	tight.Checkpoint = core.DefaultCheckpointConfig()
+	tight.Checkpoint.Enabled = true
+	tight.Checkpoint.Interval = 15 * simulation.Minute
+	res, err := federation.Run(federation.Config{
+		Members: []federation.Member{
+			{Name: "philly-a", Config: tight},
+			{Name: "helios-b", Config: fleetMember(4, 8, 120)},
+		},
+		Spillover: federation.Spillover{
+			Enabled:          true,
+			MinWait:          10 * simulation.Minute,
+			Interval:         10 * simulation.Minute,
+			MaxMovesPerCheck: 8,
+		},
+		Evacuation: federation.DefaultEvacuation(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Run()
-	if err != nil {
-		t.Fatal(err)
+	if res.Fleet.SpilloverMoves == 0 || res.Fleet.EvacuationMoves == 0 {
+		t.Fatalf("fleet made %d spillover and %d evacuation moves; the test needs both",
+			res.Fleet.SpilloverMoves, res.Fleet.EvacuationMoves)
 	}
 	return res
 }
 
-// TestComputeFleet checks the per-member rows and the combined fold:
-// counts sum, offloaded shells are excluded everywhere, spillover marks
-// count as received, and the rendered table carries every member.
+// TestComputeFleet checks the per-member rows and the combined fold over
+// a real federation: counts sum, offloaded and evacuated shells are not
+// jobs, the traffic columns are federation's per-move counters, and the
+// rendered table carries every member.
 func TestComputeFleet(t *testing.T) {
-	a := fleetStudy(t, 3, 160)
-	b := fleetStudy(t, 4, 120)
-
-	// Simulate federation bookkeeping: one offloaded shell on a, one
-	// received copy on b.
-	var offJobs int
-	for i := range a.Jobs {
-		if !a.Jobs[i].Completed {
-			a.Jobs[i].Offloaded = true
-			offJobs = 1
-			break
-		}
-	}
-	if offJobs == 0 {
-		// Every job completed: offload a completed one is invalid, so fake
-		// an incomplete shell instead.
-		a.Jobs = append(a.Jobs, core.JobResult{Offloaded: true})
-		offJobs = 1
-	}
-	b.Jobs[0].Spillover = true
-
-	rep := ComputeFleet([]FleetMember{{Name: "philly-a", Res: a}, {Name: "helios-b", Res: b}})
+	res := twoMemberFleet(t)
+	rep := ComputeFleet(res)
 	if len(rep.Rows) != 3 {
 		t.Fatalf("got %d rows, want 2 members + fleet", len(rep.Rows))
 	}
 	ra, rb, fleet := rep.Rows[0], rep.Rows[1], rep.Rows[2]
-	if fleet.Name != "fleet" {
-		t.Fatalf("last row = %q, want fleet", fleet.Name)
+	if ra.Name != "philly-a" || rb.Name != "helios-b" || fleet.Name != "fleet" {
+		t.Fatalf("row names = %q, %q, %q", ra.Name, rb.Name, fleet.Name)
 	}
-	if ra.Offloaded != offJobs {
-		t.Fatalf("member a offloaded = %d, want %d", ra.Offloaded, offJobs)
-	}
-	if rb.Received != 1 {
-		t.Fatalf("member b received = %d, want 1", rb.Received)
-	}
-	if ra.Jobs != len(a.Jobs)-offJobs {
-		t.Fatalf("member a jobs = %d, want %d (offloaded shells excluded)", ra.Jobs, len(a.Jobs)-offJobs)
+	for i, row := range rep.Rows[:2] {
+		fs := res.Fleet.Members[i]
+		if row.Offloaded != fs.JobsOffloaded || row.Received != fs.JobsReceived ||
+			row.Evacuated != fs.JobsEvacuated || row.Resumed != fs.JobsResumed {
+			t.Fatalf("%s traffic = %d/%d/%d/%d, federation counted %+v",
+				row.Name, row.Offloaded, row.Received, row.Evacuated, row.Resumed, fs)
+		}
+		shells := 0
+		for _, j := range res.Members[i].Result.Jobs {
+			if j.Offloaded || j.Evacuated {
+				shells++
+			}
+		}
+		if want := len(res.Members[i].Result.Jobs) - shells; row.Jobs != want {
+			t.Fatalf("%s jobs = %d, want %d (shells excluded)", row.Name, row.Jobs, want)
+		}
 	}
 	if fleet.Jobs != ra.Jobs+rb.Jobs || fleet.Completed != ra.Completed+rb.Completed {
 		t.Fatalf("fleet sums wrong: %+v vs %+v + %+v", fleet, ra, rb)

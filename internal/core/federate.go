@@ -36,8 +36,11 @@ type OffloadCandidate struct {
 
 // OffloadCandidates lists jobs queued and never started whose queueing
 // delay is at least minWait, longest-waiting first (ties by ID), capped at
-// max. Deterministic: it reads only scheduler and study state settled at
-// the current barrier.
+// max. A resumed copy (see InjectResumed) is never a candidate, even
+// before its first start here: it carries the donor's checkpointed
+// remaining work, which Inject's fresh plan would drop, so it stays
+// evacuation's business. Deterministic: it reads only scheduler and study
+// state settled at the current barrier.
 func (s *Study) OffloadCandidates(now, minWait simulation.Time, max int) []OffloadCandidate {
 	var out []OffloadCandidate
 	// EachQueued's walk order is irrelevant: the sort below imposes a
@@ -48,7 +51,7 @@ func (s *Study) OffloadCandidates(now, minWait simulation.Time, max int) []Offlo
 		}
 		js := s.states[j.ID]
 		if js == nil || js.running || js.attemptOpen || js.res.Attempts != nil ||
-			js.res.Offloaded || js.res.Completed || js.attemptIdx != 0 {
+			js.res.Offloaded || js.res.Resumed || js.res.Completed || js.attemptIdx != 0 {
 			return
 		}
 		waited := now - j.EnqueuedAt
@@ -73,7 +76,8 @@ func (s *Study) OffloadCandidates(now, minWait simulation.Time, max int) []Offlo
 // the scheduler queue, its result is marked Offloaded (excluded from this
 // cluster's analysis like an incomplete job), and its spec is returned for
 // re-injection into another member. The job's telemetry and log streams
-// were never drawn, so the withdrawal perturbs no other stream.
+// were never drawn, so the withdrawal perturbs no other stream. A resumed
+// copy is refused, as in OffloadCandidates.
 func (s *Study) Offload(id cluster.JobID, now simulation.Time) (workload.JobSpec, error) {
 	js := s.states[id]
 	if js == nil {
@@ -81,6 +85,9 @@ func (s *Study) Offload(id cluster.JobID, now simulation.Time) (workload.JobSpec
 	}
 	if js.running || js.attemptOpen || js.res.Attempts != nil || js.res.Offloaded || js.res.Completed {
 		return workload.JobSpec{}, fmt.Errorf("core: job %d is not a never-started queued job; cannot offload", id)
+	}
+	if js.res.Resumed {
+		return workload.JobSpec{}, fmt.Errorf("core: job %d is a resumed copy; cannot offload it as a fresh job", id)
 	}
 	if err := s.sched.WithdrawJob(js.sched); err != nil {
 		return workload.JobSpec{}, fmt.Errorf("core: offload job %d: %w", id, err)

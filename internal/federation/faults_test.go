@@ -212,3 +212,41 @@ func memberIndex(t *testing.T, res *Result, name string) int {
 	t.Fatalf("member %q not in fleet stats", name)
 	return -1
 }
+
+// TestResumedCopiesAreNotOffloaded: an evacuated job's resumed copy waits
+// at its receiver with the donor's checkpointed remaining work, so plain
+// spillover — which re-plans a job's full clean work — must never move
+// it. philly-small+helios-like with every outage domain at 8x frequency
+// and 30-minute checkpoints (philly-sim -federation philly-small+helios-like
+// -seed 1 -faults all:8 -checkpoint 30) queues resumed copies long enough
+// to become spillover candidates.
+func TestResumedCopiesAreNotOffloaded(t *testing.T) {
+	cfg, err := ParseSpec(1, "philly-small+helios-like")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc, err := faults.ParseSpec("all:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := core.ParseCheckpointSpec("30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range cfg.Members {
+		cfg.Members[i].Config.Faults = fc.Clone()
+		cfg.Members[i].Config.Checkpoint = cc
+	}
+	res := runFleet(t, cfg, 0)
+	if res.Fleet.SpilloverMoves == 0 || res.Fleet.EvacuationMoves == 0 {
+		t.Fatalf("fleet made %d spillover and %d evacuation moves; the test needs both",
+			res.Fleet.SpilloverMoves, res.Fleet.EvacuationMoves)
+	}
+	for _, m := range res.Members {
+		for i := range m.Result.Jobs {
+			if j := &m.Result.Jobs[i]; j.Resumed && j.Offloaded {
+				t.Errorf("member %s: resumed copy %d was offloaded as a fresh job", m.Name, j.Spec.ID)
+			}
+		}
+	}
+}

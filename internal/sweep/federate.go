@@ -12,11 +12,10 @@ package sweep
 import (
 	"fmt"
 
+	"philly/internal/analysis"
 	"philly/internal/core"
-	"philly/internal/failures"
 	"philly/internal/federation"
 	"philly/internal/par"
-	"philly/internal/stats"
 )
 
 // fleetMemberLabel names the synthetic row carrying the fleet-wide fold.
@@ -39,13 +38,15 @@ func federatedConfig(sc *Scenario, runSeed uint64) (federation.Config, error) {
 }
 
 // runFederatedCell executes one federated scenario replica and reduces it
-// to one ReplicaMetrics per member plus the fleet-wide fold, in that
-// order. Members stream: each completed job folds into a per-member
-// StreamReducer the moment it finalizes and the study drops its attempt
-// history, so a paper-scale federated replica holds scalars per job — the
-// same memory profile as the plain-study streaming path — while the
-// reductions stay bit-identical to the batch fold
-// (TestFederatedStreamingMatchesBatch pins this).
+// to one ReplicaMetrics per member plus the fleet-wide row, in that order.
+// Members stream: each completed job folds into a per-member
+// analysis.StreamReducer the moment it finalizes and the study drops its
+// attempt history, so a paper-scale federated replica holds scalars per
+// job — the same memory profile as the plain-study streaming path. Each
+// member's tally is finished in one walk of its jobs, and the fleet row is
+// analysis.CombineFleet over those tallies, the same fold philly-sim's
+// fleet table prints (TestFederatedStreamingMatchesBatch pins the
+// streamed cell against a replay of the retained results).
 func runFederatedCell(sc *Scenario, runSeed uint64, pool *par.Pool) ([]ReplicaMetrics, error) {
 	fcfg, err := federatedConfig(sc, runSeed)
 	if err != nil {
@@ -56,224 +57,22 @@ func runFederatedCell(sc *Scenario, runSeed uint64, pool *par.Pool) ([]ReplicaMe
 		return nil, err
 	}
 	st.SetPool(pool)
-	reds := make([]*StreamReducer, st.NumMembers())
+	reds := make([]*analysis.StreamReducer, st.NumMembers())
 	for i := range reds {
-		reds[i] = NewStreamReducer(st.MemberNumJobs(i))
+		reds[i] = analysis.NewStreamReducer(st.MemberNumJobs(i))
 	}
 	st.StreamMemberJobs(func(mi, i int, r *core.JobResult) { reds[mi].ObserveJob(i, r) })
 	res, err := st.Run()
 	if err != nil {
 		return nil, err
 	}
+	tallies := make([]analysis.Tally, len(res.Members))
 	cell := make([]ReplicaMetrics, 0, len(res.Members)+1)
 	for mi, m := range res.Members {
-		cell = append(cell, reds[mi].Finish(m.Result))
+		tallies[mi] = reds[mi].Finish(m.Result)
+		cell = append(cell, replicaMetrics(m.Result.Config.Seed, tallies[mi]))
 	}
-	cell = append(cell, fleetFinishStream(runSeed, reds, res))
-	return cell, nil
-}
-
-// fleetReduce folds every member's jobs into fleet-wide metrics: one job
-// population, percentiles over the union, utilization weighted by sample
-// count. Offloaded bookkeeping shells are skipped — the receiving member's
-// injected copy is the job's one countable record — so fleet totals count
-// each logical job exactly once.
-//
-// The counting rules mirror internal/analysis.ComputeFleet's combined row
-// (the two folds serve different metric sets but must agree on what
-// counts fleet-wide); TestFleetReduceAgreesWithAnalysis pins the shared
-// quantities against each other.
-func fleetReduce(seed uint64, res *federation.Result) ReplicaMetrics {
-	m := ReplicaMetrics{Seed: seed}
-	var jct, delay []float64
-	unsuccessful := 0
-	var utilSum, ckptGPUh float64
-	var utilN uint64
-	var utilMin, utilMax float64
-	utilMembers := 0
-	outageEvents := 0
-	var outageHoursSum, outageDownHoursSum float64
-	for _, mem := range res.Members {
-		r := mem.Result
-		// GPU-hour sums fold per member first, then into the fleet total —
-		// the same association the per-member rows and the analysis fleet
-		// table use, so the fleet row is the exact float sum of its member
-		// rows (a single flat accumulator differs in the last bits).
-		var memGPUH, memFailedGPUH, memLostGPUH, memCkptGPUH float64
-		for i := range r.Jobs {
-			j := &r.Jobs[i]
-			if j.Offloaded {
-				continue
-			}
-			memGPUH += j.GPUMinutes / 60
-			memLostGPUH += j.LostGPUMinutes / 60
-			memCkptGPUH += j.CkptGPUMinutes / 60
-			for _, att := range j.Attempts {
-				if att.Failed {
-					memFailedGPUH += att.RuntimeMinutes * float64(j.Spec.GPUs) / 60
-				}
-			}
-			if j.Evacuated {
-				// Checkpoint-migration donor shell: its GPU time stays in
-				// this member's totals, but the job itself is counted (and
-				// completes) at the receiving member's resumed copy.
-				continue
-			}
-			m.Jobs++
-			if !j.Completed {
-				continue
-			}
-			m.Completed++
-			jct = append(jct, (j.EndAt - j.Spec.SubmitAt).Minutes())
-			delay = append(delay, j.FirstQueueDelay.Minutes())
-			if j.Outcome == failures.Unsuccessful {
-				unsuccessful++
-			}
-		}
-		m.GPUHours += memGPUH
-		m.FailedGPUHours += memFailedGPUH
-		m.LostGPUHours += memLostGPUH
-		ckptGPUh += memCkptGPUH
-		if h := r.Telemetry.All(); h.Count() > 0 {
-			mean := h.Mean()
-			utilSum += mean * float64(h.Count())
-			utilN += h.Count()
-			if utilMembers == 0 || mean < utilMin {
-				utilMin = mean
-			}
-			if utilMembers == 0 || mean > utilMax {
-				utilMax = mean
-			}
-			utilMembers++
-		}
-		// Fleet ETTF/ETTR re-fold the member means over the union of outage
-		// events: each member's observed hours are recovered as mean×events.
-		if ev := r.Outages.Events; ev > 0 {
-			outageEvents += ev
-			outageHoursSum += r.Outages.ETTFHours * float64(ev)
-			outageDownHoursSum += r.Outages.ETTRHours * float64(ev)
-		}
-		m.Preemptions += r.Sched.FairSharePreemptions + r.Sched.PolicyPreemptions
-		m.Migrations += r.Sched.Migrations
-	}
-	m.JCTp50 = stats.Percentile(jct, 50)
-	m.JCTMean = stats.Mean(jct)
-	m.DelayP50 = stats.Percentile(delay, 50)
-	m.DelayP95 = stats.Percentile(delay, 95)
-	if utilN > 0 {
-		m.MeanUtilPct = utilSum / float64(utilN)
-	}
-	if m.Completed > 0 {
-		m.UnsuccessfulPct = 100 * float64(unsuccessful) / float64(m.Completed)
-	}
-	if m.GPUHours > 0 {
-		m.CkptOverheadPct = 100 * ckptGPUh / m.GPUHours
-	}
-	if outageEvents > 0 {
-		m.ETTFHours = outageHoursSum / float64(outageEvents)
-		m.ETTRHours = outageDownHoursSum / float64(outageEvents)
-	}
-	if utilMembers > 1 {
-		m.ImbalancePct = utilMax - utilMin
-	}
-	return m
-}
-
-// fleetFinishStream is fleetReduce over streamed accumulators: it replays
-// exactly the batch fold's member-major, job-index-order floating-point
-// arithmetic from the per-member StreamReducers (every per-job quantity in
-// a jobAccum is computed by ObserveJob with the same expression fleetReduce
-// uses), so its result is bit-identical to fleetReduce over fully retained
-// member results. Jobs the observers never saw — those that missed the
-// horizon — still have whole records in the member results and are folded
-// on demand.
-func fleetFinishStream(seed uint64, reds []*StreamReducer, res *federation.Result) ReplicaMetrics {
-	m := ReplicaMetrics{Seed: seed}
-	var jct, delay []float64
-	unsuccessful := 0
-	var utilSum, ckptGPUh float64
-	var utilN uint64
-	var utilMin, utilMax float64
-	utilMembers := 0
-	outageEvents := 0
-	var outageHoursSum, outageDownHoursSum float64
-	for mi, mem := range res.Members {
-		r := mem.Result
-		red := reds[mi]
-		// Same association as fleetReduce: per-member sums first, then into
-		// the fleet total, so the fleet row remains the exact float sum of
-		// its member rows.
-		var memGPUH, memFailedGPUH, memLostGPUH, memCkptGPUH float64
-		for i := 0; i < len(r.Jobs); i++ {
-			a := red.accumFor(i, &r.Jobs[i])
-			if a.offloaded {
-				continue
-			}
-			memGPUH += a.gpuMin / 60
-			memLostGPUH += a.lostGPUh
-			memCkptGPUH += a.ckptGPUh
-			for _, f := range a.failedGPUh {
-				memFailedGPUH += f
-			}
-			if a.evacuated {
-				continue
-			}
-			m.Jobs++
-			if !a.completed {
-				continue
-			}
-			m.Completed++
-			jct = append(jct, a.jctMin)
-			delay = append(delay, a.delayMin)
-			if a.unsucc {
-				unsuccessful++
-			}
-		}
-		m.GPUHours += memGPUH
-		m.FailedGPUHours += memFailedGPUH
-		m.LostGPUHours += memLostGPUH
-		ckptGPUh += memCkptGPUH
-		if h := r.Telemetry.All(); h.Count() > 0 {
-			mean := h.Mean()
-			utilSum += mean * float64(h.Count())
-			utilN += h.Count()
-			if utilMembers == 0 || mean < utilMin {
-				utilMin = mean
-			}
-			if utilMembers == 0 || mean > utilMax {
-				utilMax = mean
-			}
-			utilMembers++
-		}
-		if ev := r.Outages.Events; ev > 0 {
-			outageEvents += ev
-			outageHoursSum += r.Outages.ETTFHours * float64(ev)
-			outageDownHoursSum += r.Outages.ETTRHours * float64(ev)
-		}
-		m.Preemptions += r.Sched.FairSharePreemptions + r.Sched.PolicyPreemptions
-		m.Migrations += r.Sched.Migrations
-	}
-	m.JCTp50 = stats.Percentile(jct, 50)
-	m.JCTMean = stats.Mean(jct)
-	m.DelayP50 = stats.Percentile(delay, 50)
-	m.DelayP95 = stats.Percentile(delay, 95)
-	if utilN > 0 {
-		m.MeanUtilPct = utilSum / float64(utilN)
-	}
-	if m.Completed > 0 {
-		m.UnsuccessfulPct = 100 * float64(unsuccessful) / float64(m.Completed)
-	}
-	if m.GPUHours > 0 {
-		m.CkptOverheadPct = 100 * ckptGPUh / m.GPUHours
-	}
-	if outageEvents > 0 {
-		m.ETTFHours = outageHoursSum / float64(outageEvents)
-		m.ETTRHours = outageDownHoursSum / float64(outageEvents)
-	}
-	if utilMembers > 1 {
-		m.ImbalancePct = utilMax - utilMin
-	}
-	return m
+	return append(cell, replicaMetrics(runSeed, analysis.CombineFleet(tallies))), nil
 }
 
 // hasFleetScenario reports whether any scenario is federated. A fleet

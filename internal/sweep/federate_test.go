@@ -2,7 +2,11 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -138,107 +142,57 @@ func TestFederatedExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFleetReduceAgreesWithAnalysis pins the two fleet-wide folds — the
-// sweep's ReplicaMetrics fold and internal/analysis.ComputeFleet's
-// combined row — against each other on the same federated result: they
-// serve different metric sets but must agree on every shared quantity, or
-// the sweep table and the philly-repro fleet table would silently diverge
-// for the same run.
-func TestFleetReduceAgreesWithAnalysis(t *testing.T) {
-	fcfg, err := federation.NewConfig(17, "philly-small", "helios-like")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range fcfg.Members {
-		fcfg.Members[i].Config.Workload.TotalJobs = 250
-	}
-	res, err := federation.Run(fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := fleetReduce(17, res)
-	members := make([]analysis.FleetMember, 0, len(res.Members))
-	for _, mem := range res.Members {
-		members = append(members, analysis.FleetMember{Name: mem.Name, Res: mem.Result})
-	}
-	rows := analysis.ComputeFleet(members).Rows
-	fleet := rows[len(rows)-1]
-	if m.Jobs != fleet.Jobs || m.Completed != fleet.Completed {
-		t.Fatalf("job counts diverged: sweep %d/%d vs analysis %d/%d",
-			m.Jobs, m.Completed, fleet.Jobs, fleet.Completed)
-	}
-	if m.GPUHours != fleet.GPUHours || m.FailedGPUHours != fleet.FailedGPUHours {
-		t.Fatalf("GPU-hour folds diverged: sweep %v/%v vs analysis %v/%v",
-			m.GPUHours, m.FailedGPUHours, fleet.GPUHours, fleet.FailedGPUHours)
-	}
-	if m.DelayP50 != fleet.DelayP50 || m.DelayP95 != fleet.DelayP95 {
-		t.Fatalf("delay percentiles diverged: sweep %v/%v vs analysis %v/%v",
-			m.DelayP50, m.DelayP95, fleet.DelayP50, fleet.DelayP95)
-	}
-	if m.MeanUtilPct != fleet.UtilMean {
-		t.Fatalf("utilization fold diverged: sweep %v vs analysis %v", m.MeanUtilPct, fleet.UtilMean)
-	}
-	if m.UnsuccessfulPct != fleet.UnsuccessfulPct {
-		t.Fatalf("unsuccessful%% diverged: sweep %v vs analysis %v", m.UnsuccessfulPct, fleet.UnsuccessfulPct)
-	}
-}
-
-// TestFederatedStreamingMatchesBatch pins the streaming federated
-// reduction (per-member StreamReducers + fleetFinishStream, the path
-// runFederatedCell takes) against the batch fold over fully retained
-// results: every member row and the fleet row must be bit-identical, and
-// the streaming run must actually have released completed jobs' attempt
-// records.
+// TestFederatedStreamingMatchesBatch pins runFederatedCell — members
+// streamed into per-member analysis.StreamReducers, each finished once,
+// the fleet row combined from their tallies — against a replay of fully
+// retained member results through the same fold (analysis.Fold, then
+// analysis.CombineFleet): every member row and the fleet row must be
+// bit-identical. A streamed run must also actually release completed
+// jobs' attempt records.
 func TestFederatedStreamingMatchesBatch(t *testing.T) {
-	mkCfg := func() federation.Config {
-		fcfg, err := federation.NewConfig(23, "philly-small", "helios-like")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range fcfg.Members {
-			fcfg.Members[i].Config.Workload.TotalJobs = 250
-		}
-		return fcfg
-	}
-
-	batchRes, err := federation.Run(mkCfg())
+	const seed = 23
+	members := []string{"philly-small", "helios-like"}
+	jobs250 := func(c *core.Config) { c.Workload.TotalJobs = 250 }
+	sc := Scenario{Fleet: members, applies: []func(*core.Config){jobs250}}
+	fcfg, err := federatedConfig(&sc, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+
+	batchRes, err := federation.Run(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tallies := make([]analysis.Tally, 0, len(batchRes.Members))
 	batch := make([]ReplicaMetrics, 0, len(batchRes.Members)+1)
 	for _, m := range batchRes.Members {
+		tallies = append(tallies, analysis.Fold(m.Result))
 		batch = append(batch, Reduce(m.Result))
 	}
-	batch = append(batch, fleetReduce(23, batchRes))
+	batch = append(batch, replicaMetrics(seed, analysis.CombineFleet(tallies)))
 
-	st, err := federation.NewStudy(mkCfg())
+	stream, err := runFederatedCell(&sc, seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reds := make([]*StreamReducer, st.NumMembers())
-	for i := range reds {
-		reds[i] = NewStreamReducer(st.MemberNumJobs(i))
+	if !reflect.DeepEqual(batch, stream) {
+		t.Fatalf("streamed federated cell diverged from the replayed fold:\nbatch:  %+v\nstream: %+v", batch, stream)
 	}
-	st.StreamMemberJobs(func(mi, i int, r *core.JobResult) { reds[mi].ObserveJob(i, r) })
+
+	st, err := federation.NewStudy(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.StreamMemberJobs(func(mi, i int, r *core.JobResult) {})
 	streamRes, err := st.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := make([]ReplicaMetrics, 0, len(streamRes.Members)+1)
-	for mi, m := range streamRes.Members {
-		stream = append(stream, reds[mi].Finish(m.Result))
-	}
-	stream = append(stream, fleetFinishStream(23, reds, streamRes))
-
-	if !reflect.DeepEqual(batch, stream) {
-		t.Fatalf("streamed federated cell diverged from batch fold:\nbatch:  %+v\nstream: %+v", batch, stream)
-	}
-
 	released, completed := 0, 0
 	for _, m := range streamRes.Members {
 		for i := range m.Result.Jobs {
 			j := &m.Result.Jobs[i]
-			if j.Completed && !j.Offloaded {
+			if j.Completed {
 				completed++
 				if j.Attempts == nil {
 					released++
@@ -248,5 +202,172 @@ func TestFederatedStreamingMatchesBatch(t *testing.T) {
 	}
 	if completed == 0 || released != completed {
 		t.Fatalf("streaming did not release attempt records: %d/%d released", released, completed)
+	}
+}
+
+// chaosFleetMatrix is one federated cell that both spills and evacuates:
+// the philly-small+helios-like presets trimmed to 2,500 jobs each, with
+// every outage domain at 8x frequency and 30-minute checkpoints. At base
+// seed 1 its replica 0 makes 55 spillover and 396 evacuation moves.
+func chaosFleetMatrix(t *testing.T) Matrix {
+	t.Helper()
+	m := Matrix{Base: tinyConfig(), Axes: []Axis{
+		mustParse(t, "jobs=2500"),
+		mustParse(t, "fleet.members=philly-small+helios-like"),
+		mustParse(t, "failure.domains=all:8"),
+		mustParse(t, "checkpoint.interval=30"),
+	}}
+	m.Base.Seed = 1
+	return m
+}
+
+// chaosFleetResult re-runs chaosFleetMatrix's replica-0 cell through
+// federation's public API, with every record retained, and returns it with
+// each member's generated job count.
+func chaosFleetResult(t *testing.T) (*federation.Result, []int) {
+	t.Helper()
+	m := chaosFleetMatrix(t)
+	scenarios, err := m.Scenarios()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfg, err := federatedConfig(&scenarios[0], DeriveSeed(m.Base.Seed, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := federation.NewStudy(fcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generated := make([]int, st.NumMembers())
+	for i := range generated {
+		generated[i] = st.MemberNumJobs(i)
+	}
+	res, err := st.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fleet.SpilloverMoves == 0 || res.Fleet.EvacuationMoves == 0 {
+		t.Fatalf("chaos fleet made %d spillover and %d evacuation moves; it must make both",
+			res.Fleet.SpilloverMoves, res.Fleet.EvacuationMoves)
+	}
+	return res, generated
+}
+
+// TestFleetConservation checks the fleet table of a federation that spills
+// and evacuates against quantities the fold never computes: every
+// generated job is counted exactly once fleet-wide (shells excluded, moved
+// copies counted where they landed), the traffic columns balance against
+// federation's move counters, and the fleet's GPU-hours are exactly the
+// sum of its member rows.
+func TestFleetConservation(t *testing.T) {
+	res, generated := chaosFleetResult(t)
+	rows := analysis.ComputeFleet(res).Rows
+	if len(rows) != len(res.Members)+1 {
+		t.Fatalf("got %d rows, want %d members + fleet", len(rows), len(res.Members))
+	}
+	members, fleet := rows[:len(res.Members)], rows[len(res.Members)]
+
+	wantJobs := 0
+	for _, n := range generated {
+		wantJobs += n
+	}
+	if fleet.Jobs != wantJobs {
+		t.Errorf("fleet jobs = %d, want %d generated", fleet.Jobs, wantJobs)
+	}
+	if fleet.Offloaded != res.Fleet.SpilloverMoves || fleet.Received != res.Fleet.SpilloverMoves {
+		t.Errorf("fleet offloaded/received = %d/%d, want %d spillover moves",
+			fleet.Offloaded, fleet.Received, res.Fleet.SpilloverMoves)
+	}
+	if fleet.Evacuated != res.Fleet.EvacuationMoves || fleet.Resumed != res.Fleet.EvacuationMoves {
+		t.Errorf("fleet evacuated/resumed = %d/%d, want %d evacuation moves",
+			fleet.Evacuated, fleet.Resumed, res.Fleet.EvacuationMoves)
+	}
+	gpuHours := 0.0
+	for i, row := range members {
+		fs := res.Fleet.Members[i]
+		if row.Offloaded != fs.JobsOffloaded || row.Received != fs.JobsReceived ||
+			row.Evacuated != fs.JobsEvacuated || row.Resumed != fs.JobsResumed {
+			t.Errorf("%s traffic = %d/%d/%d/%d, federation counted %+v",
+				row.Name, row.Offloaded, row.Received, row.Evacuated, row.Resumed, fs)
+		}
+		gpuHours += row.GPUHours
+	}
+	if fleet.GPUHours != gpuHours {
+		t.Errorf("fleet GPU-hours = %v, want the member sum %v", fleet.GPUHours, gpuHours)
+	}
+}
+
+// Golden output of TestFleetFoldGolden: the sha256 of chaosFleetMatrix's
+// sweep JSON export, and per fleet-table row (members in fleet order, then
+// the fleet) its GPUs, Jobs, Completed and FailedAttempts followed by the
+// math.Float64bits of DelayP50, DelayP95, UtilMean, GPUHours,
+// FailedGPUHours, UnsuccessfulPct, LostGPUHours, CkptGPUHours and
+// ImbalancePct.
+const goldenFleetExportSHA256 = "57ec739ef9b0c5a72b79dea2ed4e1bb82fa6486688f397b55a2a7ff43905e3e3"
+
+var goldenFleetRows = [][13]uint64{
+	{0xf0, 0x95f, 0x95f, 0x4db,
+		0x0, 0x4001999999999800, 0x404b64a40aee5ef9, 0x40e06acdb05b05b4, 0x40ce5a392345677e, 0x402dd884526188b2, 0x40a28abe4b17e4b2, 0x406c2c8bed925ccc, 0x0},
+	{0xf0, 0xa29, 0xa29, 0x75c,
+		0x0, 0x0, 0x404c0b85e4528b52, 0x40d50192b3c4d5e5, 0x40c3860c1fdb9749, 0x4035e04ebd2b9a08, 0x40722a1b4e81b4e8, 0x406c7120d8a9a8b5, 0x0},
+	{0x1e0, 0x1388, 0x1388, 0xc37,
+		0x0, 0x0, 0x404bb453f497673a, 0x40eaeb970a3d70a6, 0x40d8f022a1907f64, 0x40328a3d70a3d70a, 0x40a4d001b4e81b4f, 0x407c4ed6631e02c0, 0x3ff4dc3b2c858b20},
+}
+
+// TestFleetFoldGolden pins the federated fold's output bits against
+// constants: the sweep export of a federation that spills and evacuates,
+// and every count and float of its fleet table except the four traffic
+// columns (offloaded, received, evac, resumed), which count moves rather
+// than fold records. TestFederatedStreamingMatchesBatch compares two ways
+// of feeding the fold with each other; this test catches a change that
+// moves both the same way, such as a new summation order.
+//
+// The constants change only with a deliberate output-contract change. To
+// re-record them, run
+//
+//	go test -run TestFleetFoldGolden ./internal/sweep
+//
+// and copy the got values from the failure messages. amd64 only: other
+// architectures may fuse multiply-adds and round differently.
+func TestFleetFoldGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden float bits are recorded on amd64, not %s", runtime.GOARCH)
+	}
+	swept, err := chaosFleetMatrix(t).Run(Options{Replicas: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := swept.WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenFleetExportSHA256 {
+		t.Errorf("sweep export sha256 = %q, want %q", got, goldenFleetExportSHA256)
+	}
+
+	res, _ := chaosFleetResult(t)
+	rows := analysis.ComputeFleet(res).Rows
+	got := make([][13]uint64, len(rows))
+	for i, r := range rows {
+		got[i] = [13]uint64{
+			uint64(r.GPUs), uint64(r.Jobs), uint64(r.Completed), uint64(r.FailedAttempts),
+			math.Float64bits(r.DelayP50), math.Float64bits(r.DelayP95),
+			math.Float64bits(r.UtilMean), math.Float64bits(r.GPUHours),
+			math.Float64bits(r.FailedGPUHours), math.Float64bits(r.UnsuccessfulPct),
+			math.Float64bits(r.LostGPUHours), math.Float64bits(r.CkptGPUHours),
+			math.Float64bits(r.ImbalancePct),
+		}
+	}
+	if !reflect.DeepEqual(got, goldenFleetRows) {
+		var b strings.Builder
+		for _, g := range got {
+			fmt.Fprintf(&b, "\t{%#x, %#x, %#x, %#x,\n\t\t", g[0], g[1], g[2], g[3])
+			for k := 4; k < len(g); k++ {
+				fmt.Fprintf(&b, "%#x, ", g[k])
+			}
+			b.WriteString("},\n")
+		}
+		t.Errorf("fleet table rows differ from goldenFleetRows; got:\n%s", b.String())
 	}
 }

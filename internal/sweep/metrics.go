@@ -1,19 +1,20 @@
 package sweep
 
 import (
+	"philly/internal/analysis"
 	"philly/internal/core"
-	"philly/internal/failures"
-	"philly/internal/stats"
 )
 
-// ReplicaMetrics is the scalar reduction of one study run. The runner keeps
+// ReplicaMetrics is the scalar reduction of one study run: the columns of
+// its analysis.Tally the sweep table and export carry. The runner keeps
 // these instead of whole StudyResults so a wide sweep stays memory-bounded,
 // and every field is a pure function of the run — no wall-clock, no worker
 // identity — so aggregated output is bit-identical across worker counts.
 type ReplicaMetrics struct {
 	// Seed is the derived per-run seed (recorded for reproducing one cell).
 	Seed uint64
-	// Jobs and Completed count generated and horizon-completed jobs.
+	// Jobs and Completed count the run's jobs (federation shells
+	// excluded, see analysis.Tally) and those completed by the horizon.
 	Jobs, Completed int
 	// JCTp50 and JCTMean summarize completed jobs' completion times
 	// (submit to end, minutes).
@@ -47,174 +48,47 @@ type ReplicaMetrics struct {
 	ImbalancePct float64
 	// Placement-search telemetry (PR 9): total searches, negative-result
 	// cache short-circuits, and speculative commits/conflicts. Exported per
-	// replica but not aggregated into table columns.
+	// replica but not aggregated into table columns; 0 on a fleet row.
 	PlacementSearches    int
 	CacheShortCircuits   int
 	SpeculativeCommits   int
 	SpeculativeConflicts int
 }
 
-// Reduce computes a replica's metrics from its study result. It is the
-// batch form of StreamReducer — observing every job in index order and
-// finishing produces, by construction, the exact floating-point fold the
-// original single-pass reduction performed.
+// Reduce computes a replica's metrics from its study result: the study
+// fold (analysis.Fold, which replays the retained records through the
+// streaming reducer the runner registers) projected onto the replica
+// columns.
 func Reduce(res *core.StudyResult) ReplicaMetrics {
-	r := NewStreamReducer(len(res.Jobs))
-	for i := range res.Jobs {
-		r.ObserveJob(i, &res.Jobs[i])
-	}
-	return r.Finish(res)
+	return replicaMetrics(res.Config.Seed, analysis.Fold(res))
 }
 
-// jobAccum is the per-job scalar extraction StreamReducer keeps in place of
-// the full JobResult. It is a few dozen bytes regardless of how many
-// attempts or log-derived records the job accumulated.
-type jobAccum struct {
-	seen      bool
-	completed bool
-	unsucc    bool
-	// offloaded marks a federation spillover bookkeeping shell: the job
-	// moved to (and is counted at) another member, so it is excluded from
-	// this study's totals — consistent with the fleet-wide fold and the
-	// analysis fleet table.
-	offloaded bool
-	// evacuated marks a checkpoint-migration donor shell: the GPU time it
-	// burned stays in this study's totals, but the job itself completes at
-	// (and is counted by) the receiving member.
-	evacuated bool
-	gpuMin    float64
-	lostGPUh  float64
-	ckptGPUh  float64
-	jctMin    float64
-	delayMin  float64
-	// failedGPUh lists the per-failed-attempt GPU-hour costs in attempt
-	// order. They are folded into the metric sum in exactly that order at
-	// Finish, so the result is bit-identical to summing while scanning the
-	// full attempt records.
-	failedGPUh []float64
-}
-
-// StreamReducer reduces a study to ReplicaMetrics incrementally: register
-// ObserveJob with core.Study.StreamJobs and each completed job's record is
-// folded to scalars the moment it finishes, letting the study release the
-// full per-job records in flight. Finish picks up jobs that never completed
-// (their records are still intact in the StudyResult) and produces metrics
-// bit-identical to Reduce over a fully retained result.
-type StreamReducer struct {
-	jobs []jobAccum
-}
-
-// NewStreamReducer sizes a reducer for a study of n jobs.
-func NewStreamReducer(n int) *StreamReducer {
-	return &StreamReducer{jobs: make([]jobAccum, n)}
-}
-
-// ObserveJob folds one job's result; i is the job's index in
-// StudyResult.Jobs. Safe to call from core's StreamJobs observer.
-func (r *StreamReducer) ObserveJob(i int, j *core.JobResult) {
-	for i >= len(r.jobs) {
-		// Federation spillover can inject jobs beyond the generated count;
-		// grow rather than index out of range.
-		r.jobs = append(r.jobs, jobAccum{})
+// replicaMetrics projects a study or fleet tally onto the replica columns.
+func replicaMetrics(seed uint64, t analysis.Tally) ReplicaMetrics {
+	return ReplicaMetrics{
+		Seed:                 seed,
+		Jobs:                 t.Jobs,
+		Completed:            t.Completed,
+		JCTp50:               t.JCTp50,
+		JCTMean:              t.JCTMean,
+		DelayP50:             t.DelayP50,
+		DelayP95:             t.DelayP95,
+		MeanUtilPct:          t.UtilMean,
+		Preemptions:          t.Preemptions,
+		Migrations:           t.Migrations,
+		GPUHours:             t.GPUHours,
+		FailedGPUHours:       t.FailedGPUHours,
+		UnsuccessfulPct:      t.UnsuccessfulPct,
+		LostGPUHours:         t.LostGPUHours,
+		CkptOverheadPct:      t.CkptOverheadPct,
+		ETTFHours:            t.ETTFHours,
+		ETTRHours:            t.ETTRHours,
+		ImbalancePct:         t.ImbalancePct,
+		PlacementSearches:    t.PlacementSearches,
+		CacheShortCircuits:   t.CacheShortCircuits,
+		SpeculativeCommits:   t.SpeculativeCommits,
+		SpeculativeConflicts: t.SpeculativeConflicts,
 	}
-	a := &r.jobs[i]
-	a.seen = true
-	if j.Offloaded {
-		a.offloaded = true
-		return
-	}
-	a.evacuated = j.Evacuated
-	a.completed = j.Completed
-	a.gpuMin = j.GPUMinutes
-	a.lostGPUh = j.LostGPUMinutes / 60
-	a.ckptGPUh = j.CkptGPUMinutes / 60
-	for _, att := range j.Attempts {
-		if att.Failed {
-			a.failedGPUh = append(a.failedGPUh, att.RuntimeMinutes*float64(j.Spec.GPUs)/60)
-		}
-	}
-	if j.Completed {
-		a.jctMin = (j.EndAt - j.Spec.SubmitAt).Minutes()
-		a.delayMin = j.FirstQueueDelay.Minutes()
-		a.unsucc = j.Outcome == failures.Unsuccessful
-	}
-}
-
-// accumFor returns job i's accumulator, folding it from the retained
-// record first if the streaming observer never saw it (jobs that missed
-// the horizon keep their full records in the StudyResult).
-func (r *StreamReducer) accumFor(i int, j *core.JobResult) *jobAccum {
-	if i >= len(r.jobs) || !r.jobs[i].seen {
-		r.ObserveJob(i, j)
-	}
-	return &r.jobs[i]
-}
-
-// Finish folds the per-job accumulators (in job order) plus the study-level
-// aggregates into the replica metrics. Jobs never observed — those that did
-// not complete before the horizon — are extracted from res.Jobs, where their
-// records are still whole.
-func (r *StreamReducer) Finish(res *core.StudyResult) ReplicaMetrics {
-	m := ReplicaMetrics{
-		Seed: res.Config.Seed,
-		Jobs: len(res.Jobs),
-	}
-	var jct, delay []float64
-	unsuccessful := 0
-	ckptGPUh := 0.0
-	// res.Jobs can outgrow the reducer's initial sizing (federation
-	// spillover injects jobs beyond the generated count), so walk the
-	// result, not the accumulator — ObserveJob grows it on demand.
-	for i := 0; i < len(res.Jobs); i++ {
-		a := r.accumFor(i, &res.Jobs[i])
-		if a.offloaded {
-			// Spillover shell: the job runs, and is counted, at another
-			// federation member.
-			m.Jobs--
-			continue
-		}
-		m.GPUHours += a.gpuMin / 60
-		m.LostGPUHours += a.lostGPUh
-		ckptGPUh += a.ckptGPUh
-		for _, f := range a.failedGPUh {
-			m.FailedGPUHours += f
-		}
-		if a.evacuated {
-			// Evacuation donor shell: GPU time stays here, the job itself
-			// completes at (and is counted by) the receiving member.
-			m.Jobs--
-			continue
-		}
-		if !a.completed {
-			continue
-		}
-		m.Completed++
-		jct = append(jct, a.jctMin)
-		delay = append(delay, a.delayMin)
-		if a.unsucc {
-			unsuccessful++
-		}
-	}
-	m.JCTp50 = stats.Percentile(jct, 50)
-	m.JCTMean = stats.Mean(jct)
-	m.DelayP50 = stats.Percentile(delay, 50)
-	m.DelayP95 = stats.Percentile(delay, 95)
-	m.MeanUtilPct = res.Telemetry.All().Mean()
-	m.Preemptions = res.Sched.FairSharePreemptions + res.Sched.PolicyPreemptions
-	m.Migrations = res.Sched.Migrations
-	m.PlacementSearches = res.Sched.PlacementSearches
-	m.CacheShortCircuits = res.Sched.CacheShortCircuits
-	m.SpeculativeCommits = res.Sched.SpeculativeCommits
-	m.SpeculativeConflicts = res.Sched.SpeculativeConflicts
-	if m.Completed > 0 {
-		m.UnsuccessfulPct = 100 * float64(unsuccessful) / float64(m.Completed)
-	}
-	if m.GPUHours > 0 {
-		m.CkptOverheadPct = 100 * ckptGPUh / m.GPUHours
-	}
-	m.ETTFHours = res.Outages.ETTFHours
-	m.ETTRHours = res.Outages.ETTRHours
-	return m
 }
 
 // MetricDef names one scalar column of the comparison table.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"philly/internal/analysis"
 	"philly/internal/core"
 	"philly/internal/par"
 	"philly/internal/stats"
@@ -195,7 +196,7 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 			// so the study releases full job records in flight and the
 			// sweep's peak memory tracks the running set, not the whole
 			// workload (ROADMAP: memory-bound full-scale sweeps).
-			red := NewStreamReducer(st.NumJobs())
+			red := analysis.NewStreamReducer(st.NumJobs())
 			st.StreamJobs(red.ObserveJob)
 			res, err := st.Run()
 			if err != nil {
@@ -203,7 +204,7 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 					scenarios[s].Name, r, err))
 				return
 			}
-			metrics[s][r] = []ReplicaMetrics{red.Finish(res)}
+			metrics[s][r] = []ReplicaMetrics{replicaMetrics(res.Config.Seed, red.Finish(res))}
 		}
 		if opts.Progress != nil {
 			mu.Lock()

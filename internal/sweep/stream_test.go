@@ -4,11 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"philly/internal/analysis"
 	"philly/internal/core"
 )
 
 // TestStreamReducerMatchesBatchReduce runs the same study twice — once
-// retained and batch-reduced, once streamed — and requires bit-identical
+// retained and batch-reduced, once streamed into an
+// analysis.StreamReducer as the runner does — and requires bit-identical
 // ReplicaMetrics, plus confirms streaming actually released the per-job
 // attempt records.
 func TestStreamReducerMatchesBatchReduce(t *testing.T) {
@@ -31,7 +33,7 @@ func TestStreamReducerMatchesBatchReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := NewStreamReducer(streamStudy.NumJobs())
+	red := analysis.NewStreamReducer(streamStudy.NumJobs())
 	streamed := 0
 	streamStudy.StreamJobs(func(i int, r *core.JobResult) {
 		streamed++
@@ -47,7 +49,7 @@ func TestStreamReducerMatchesBatchReduce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream := red.Finish(streamRes)
+	stream := replicaMetrics(streamRes.Config.Seed, red.Finish(streamRes))
 
 	if !reflect.DeepEqual(batch, stream) {
 		t.Fatalf("stream metrics differ from batch:\nbatch:  %+v\nstream: %+v", batch, stream)

@@ -69,8 +69,8 @@ type Trace struct {
 // are exported, matching what a real trace collection would contain.
 // Offloaded spillover shells are skipped: in a federated study the job also
 // appears as a re-ID'd injected copy on the receiving member, and exporting
-// both would double-count it (the same shell/copy pair sweep.StreamReducer
-// and analysis already deduplicate).
+// both would double-count it (the same shell/copy pair the study fold,
+// analysis.StreamReducer, counts once).
 func FromStudy(res *core.StudyResult) *Trace {
 	t := &Trace{}
 	for i := range res.Jobs {

@@ -248,11 +248,7 @@ type FleetReport = analysis.FleetReport
 // combined queueing, utilization and failure aggregates — from a federated
 // result.
 func AnalyzeFleet(res *FederatedResult) FleetReport {
-	members := make([]analysis.FleetMember, 0, len(res.Members))
-	for _, m := range res.Members {
-		members = append(members, analysis.FleetMember{Name: m.Name, Res: m.Result})
-	}
-	return analysis.ComputeFleet(members)
+	return analysis.ComputeFleet(res)
 }
 
 // Report bundles every reproduced table and figure for one study.
