@@ -1,5 +1,5 @@
-// Command philly-sweep runs a cross-product of study configurations in
-// parallel and prints a per-scenario comparison table with confidence
+// Command philly-sweep runs a cross-product of study configurations and
+// prints a per-scenario comparison table with confidence
 // intervals over seed replicas.
 //
 // Usage:
@@ -18,14 +18,14 @@
 // telemetry streams only from (run seed, entity id).
 //
 // -workers (default 0: all cores) is one shared budget for both
-// parallelism layers: the pool runs one study per worker while the queue
-// is full, and workers that go idle near the end pick up the remaining
-// studies' intra-study fork-joins (speculative placement, federated
-// studies' fleet windows) instead of sitting out — never more than
-// -workers tasks in flight in total, and never an idle core while work
-// remains. A sweep never shards a study's event loop per virtual cluster;
-// philly-sim/-repro's -workers is the same budget spent entirely within
-// one study, which does.
+// parallelism layers, the studies and each study's intra-study fork-joins
+// (speculative placement, federated studies' fleet windows); never more
+// than -workers tasks run at once. Today the studies themselves run one
+// at a time: the pool's one-shot offer of study units misses on the pool
+// built a moment earlier, so only the intra-study fork-joins reach the
+// other workers (ROADMAP item 1). A sweep never shards a study's event
+// loop per virtual cluster; philly-sim/-repro's -workers is the same
+// budget spent entirely within one study, which does.
 //
 // -o json emits the machine-readable sweep.Result export (format_version 1:
 // per-replica metrics, per-metric aggregates, and each scenario's applied

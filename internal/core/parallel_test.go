@@ -8,15 +8,11 @@ import (
 	"philly/internal/scheduler"
 )
 
-// parallelConfig is a configuration big enough to exercise the multi-chunk
-// telemetry fold (more than telemetryChunkSize concurrently running jobs,
-// more than telemetryChunkSize servers) while staying fast enough to run
-// ~30 times in this test file.
+// parallelConfig is SmallConfig with three times the servers and VC
+// quotas: enough load for every VC lane and the speculative placement
+// path, while staying fast enough to run ~30 times in this test file.
 func parallelConfig() Config {
 	cfg := SmallConfig()
-	// Triple the racks: 117 servers > telemetryChunkSize guarantees host
-	// chunking; the widened cluster lets >telemetryChunkSize 1-GPU jobs run
-	// at once so job chunking engages too.
 	for i := range cfg.Cluster.Racks {
 		cfg.Cluster.Racks[i].Servers *= 3
 	}
@@ -98,17 +94,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		for _, seed := range []uint64{1, 7, 42} {
 			cfg.Scheduler.Policy = policy
 			cfg.Seed = seed
-			seq, seqStudy := runWithPool(t, cfg, 0)
-			// The config must exercise the multi-chunk telemetry fold:
-			// require multiple host chunks (servers) and multiple job
-			// chunks (peak running set) at some tick.
-			if n := seqStudy.cluster.NumServers(); n <= telemetryChunkSize {
-				t.Fatalf("config too small: %d servers never shard the host walk", n)
-			}
-			if seqStudy.maxLiveRunning <= telemetryChunkSize {
-				t.Fatalf("config too small: peak running set %d never shards the job walk",
-					seqStudy.maxLiveRunning)
-			}
+			seq, _ := runWithPool(t, cfg, 0)
 			// The speculative placement path is on by default and its
 			// counters are part of the compared result, so the matrix
 			// below also pins their worker/shard invariance — provided the
@@ -157,8 +143,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 // telemetry ticks all contribute), bit-compared with per-VC event sharding
 // at workers {1, 2, 4} against the sequential no-pool reference. The small matrix catches logic divergence;
 // this leg exists for scale-dependent failure modes — arena growth, the
-// batched arrival/barrier drains, attempt-slice recycling and fold-shard
-// rotation only hit their steady state after thousands of jobs. One seed
+// batched arrival/barrier drains, attempt-slice recycling and running-set
+// compaction only hit their steady state after thousands of jobs. One seed
 // and one policy: the schedule variety comes from volume here, the small
 // matrix covers the config space.
 func TestMillionEventInvariance(t *testing.T) {

@@ -287,8 +287,8 @@ type Study struct {
 
 	// hostStreams holds one pre-split stream per server (index = server
 	// ID), splitmix64-derived from (studySeed, serverID): server i's host
-	// samples depend only on its own stream and the tick count, which is
-	// what lets the host walk shard across workers bit-identically.
+	// samples depend only on its own stream and the tick count, never on
+	// the other servers' draws.
 	hostStreams []stats.RNG
 
 	// pool is the shared fork-join worker pool (nil = run everything
@@ -296,9 +296,6 @@ type Study struct {
 	// speculative searches commit in candidate order and Fleet windows
 	// merge in (at, seq) order.
 	pool *par.Pool
-	// maxLiveRunning tracks the high-water mark of the running set, for
-	// tests asserting the job walk actually chunked.
-	maxLiveRunning int
 
 	// detReason marks failure-reason codes that reproduce deterministically
 	// (AdaptiveRetry consults it with the *classified* reason, as a real
@@ -698,9 +695,6 @@ func (s *Study) Collect() (*StudyResult, error) {
 		out.ETTFHours = s.engine.Now().Hours() / float64(out.Events)
 		out.ETTRHours = s.outageDownSec / 3600 / float64(out.Events)
 	}
-	// Merge the per-shard fold histograms into the global set in fixed
-	// shard order before anything reads the recorder.
-	s.rec.Seal()
 	return &StudyResult{
 		Config:           s.cfg,
 		Jobs:             jobs,
@@ -1270,35 +1264,22 @@ func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
 	}
 }
 
-// telemetryChunkSize is the fold granularity of the telemetry walk: one
-// chunk covers this many running-list slots or servers. The chunk→shard
-// mapping (chunk index mod telemetry.NumFoldShards) and the ascending
-// chunk order within each shard are FIXED — part of the fold-order
-// determinism contract in PERFORMANCE.md: they decide the order in which
-// each fold shard accumulates its float sums.
-const telemetryChunkSize = 64
-
-// sampleTelemetry records one per-minute observation of the whole cluster.
-//
-// The walk is chunked: job chunks first, then host chunks, executed in
-// ascending order on the calling goroutine, and chunk c always folds into
-// telemetry fold shard c mod NumFoldShards. Sampled values are a pure
-// function of the entity's own pre-split stream and episode history;
-// Recorder.Seal merges the shards in fixed shard order at collection, so
-// the float sums are a function of the chunk layout alone. The walk stays
-// on the event goroutine: a fork-join over the fold shards measured slower
-// than it at two workers (PERFORMANCE.md).
+// sampleTelemetry records one per-minute observation of the whole cluster:
+// running jobs in running-list order, then servers in ID order, on the
+// event goroutine. Each sampled value is a pure function of the entity's
+// own pre-split stream and episode history; the order of the two loops is
+// the recorder's fold order, which fixes the float sums behind the
+// histogram means (PERFORMANCE.md § PR 20).
 func (s *Study) sampleTelemetry(now simulation.Time) {
-	jobs := s.running
-	used, caps := s.cluster.UsedBySrv(), s.cluster.CapBySrv()
-	if s.runningLive > s.maxLiveRunning {
-		s.maxLiveRunning = s.runningLive
+	for _, js := range s.running {
+		if js != nil && js.running {
+			s.rec.RecordJobMinuteInto(js.usage, js.meta, s.util.MinuteUtil(js.baseUtil, &js.stream))
+		}
 	}
-
-	jobChunks := (len(jobs) + telemetryChunkSize - 1) / telemetryChunkSize
-	totalChunks := jobChunks + (len(used)+telemetryChunkSize-1)/telemetryChunkSize
-	for c := 0; c < totalChunks; c++ {
-		s.sampleChunk(c, jobChunks, jobs, used, caps)
+	used, caps := s.cluster.UsedBySrv(), s.cluster.CapBySrv()
+	for i := range used {
+		cpu, mem := s.host.Sample(int(used[i]), int(caps[i]), &s.hostStreams[i])
+		s.rec.RecordHostMinute(cpu, mem)
 	}
 
 	s.occ = append(s.occ, OccupancySample{
@@ -1307,31 +1288,4 @@ func (s *Study) sampleTelemetry(now simulation.Time) {
 		EmptyServers: float64(s.cluster.EmptyServers()) / float64(s.cluster.NumServers()),
 		DownGPUs:     float64(s.heldGPUs) / float64(s.cluster.TotalGPUs()),
 	})
-}
-
-// sampleChunk draws and folds one telemetry chunk into its fold shard.
-// Chunks [0, jobChunks) cover the running list; the rest cover servers.
-func (s *Study) sampleChunk(c, jobChunks int, jobs []*jobState, used, caps []int32) {
-	sh := s.rec.FoldShard(c % telemetry.NumFoldShards)
-	if c < jobChunks {
-		lo, hi := c*telemetryChunkSize, (c+1)*telemetryChunkSize
-		if hi > len(jobs) {
-			hi = len(jobs)
-		}
-		for i := lo; i < hi; i++ {
-			if js := jobs[i]; js != nil && js.running {
-				sh.RecordJobMinuteInto(js.usage, js.meta, s.util.MinuteUtil(js.baseUtil, &js.stream))
-			}
-		}
-		return
-	}
-	hc := c - jobChunks
-	lo, hi := hc*telemetryChunkSize, (hc+1)*telemetryChunkSize
-	if hi > len(used) {
-		hi = len(used)
-	}
-	for i := lo; i < hi; i++ {
-		cpu, mem := s.host.Sample(int(used[i]), int(caps[i]), &s.hostStreams[i])
-		sh.RecordHostMinute(cpu, mem)
-	}
 }

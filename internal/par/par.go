@@ -1,16 +1,21 @@
 // Package par provides the shared, budgeted worker pool behind every layer
-// of parallelism in the simulator: across-study workers in internal/sweep,
+// of parallelism in the simulator: across-study units in internal/sweep,
 // speculative placement in internal/scheduler, and event windows in
 // internal/simulation.
 //
 // One pool, one budget. A Pool of size N never runs more than N tasks at
 // once, no matter how the layers nest: callers always execute their own
 // fork-join work (the caller is one of the N), and extra shards are handed
-// only to workers that are idle at that instant (TrySubmit never blocks and
-// never queues). When internal/sweep saturates the pool with studies, each
-// study's intra-study fork-joins simply run inline on that study's worker —
-// zero oversubscription, zero idle cores. As studies drain and workers go
-// idle, the remaining studies' shards start landing on them automatically.
+// only to helpers that are idle at that instant (a non-blocking send that
+// never queues). So nested fork-joins cannot deadlock or oversubscribe.
+//
+// The handoff is offered once, on ForkJoin's entry. A helper that is not
+// parked at that instant is never recruited for that fork-join, however
+// long it runs. internal/sweep calls ForkJoin over its units right after
+// building the pool, before the helpers park, so a sweep runs its units
+// one at a time on the caller and the helpers pick up only the units'
+// intra-study shards (ROADMAP item 1). A single study's first fork-join
+// comes well after its pool is built, so its shards do reach the helpers.
 //
 // Determinism contract: the pool only decides *where* a shard runs, never
 // what it computes or how results merge. Every caller in this repository
@@ -20,7 +25,9 @@
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -83,12 +90,33 @@ func (p *Pool) Close() {
 	})
 }
 
+// ShardPanic is the value ForkJoin re-panics with on its caller when
+// shards panicked: the lowest-index shard that panicked, its panic value
+// and the stack it panicked on.
+type ShardPanic struct {
+	Shard int
+	Value any
+	Stack []byte
+}
+
+// Error renders the shard, its panic value and its stack, so an
+// unrecovered ShardPanic prints where the shard panicked.
+func (e *ShardPanic) Error() string {
+	return fmt.Sprintf("par: shard %d panicked: %v\n\n%s", e.Shard, e.Value, e.Stack)
+}
+
 // ForkJoin runs fn(0..n-1) and returns when every call has finished. The
 // caller executes shards itself and idle helpers (if any) are enlisted via
 // non-blocking handoff, so the call makes progress even when the whole pool
 // is busy — nested ForkJoins cannot deadlock. Shard execution order and
 // placement are unspecified; callers must make shards independent and fold
 // their outputs in shard order if float accumulation order matters.
+//
+// A shard's panic is recovered wherever the shard runs, so a helper
+// survives it. The remaining shards still run; after the join, ForkJoin
+// panics on the caller with a *ShardPanic for the lowest-index shard that
+// panicked. A nil pool, a pool of 1 and a single shard run fn inline, so
+// there a panic unwinds straight out of ForkJoin.
 func (p *Pool) ForkJoin(n int, fn func(shard int)) {
 	if n <= 0 {
 		return
@@ -99,14 +127,30 @@ func (p *Pool) ForkJoin(n int, fn func(shard int)) {
 		}
 		return
 	}
-	var next atomic.Int64
+	var (
+		next  atomic.Int64
+		mu    sync.Mutex
+		first *ShardPanic
+	)
+	call := func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				mu.Lock()
+				if first == nil || i < first.Shard {
+					first = &ShardPanic{Shard: i, Value: v, Stack: debug.Stack()}
+				}
+				mu.Unlock()
+			}
+		}()
+		fn(i)
+	}
 	run := func() {
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			fn(i)
+			call(i)
 		}
 	}
 	var wg sync.WaitGroup
@@ -131,4 +175,7 @@ func (p *Pool) ForkJoin(n int, fn func(shard int)) {
 	}
 	run()
 	wg.Wait()
+	if first != nil {
+		panic(first)
+	}
 }

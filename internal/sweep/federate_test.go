@@ -304,15 +304,15 @@ func TestFleetConservation(t *testing.T) {
 // math.Float64bits of DelayP50, DelayP95, UtilMean, GPUHours,
 // FailedGPUHours, UnsuccessfulPct, LostGPUHours, CkptGPUHours and
 // ImbalancePct.
-const goldenFleetExportSHA256 = "57ec739ef9b0c5a72b79dea2ed4e1bb82fa6486688f397b55a2a7ff43905e3e3"
+const goldenFleetExportSHA256 = "8e6942ff06c4f48229d2a07d9d95a23da802460756659911b3aea59c5e247d35"
 
 var goldenFleetRows = [][13]uint64{
 	{0xf0, 0x95f, 0x95f, 0x4db,
-		0x0, 0x4001999999999800, 0x404b64a40aee5ef9, 0x40e06acdb05b05b4, 0x40ce5a392345677e, 0x402dd884526188b2, 0x40a28abe4b17e4b2, 0x406c2c8bed925ccc, 0x0},
+		0x0, 0x4001999999999800, 0x404b64a40aee5ed6, 0x40e06acdb05b05b4, 0x40ce5a392345677e, 0x402dd884526188b2, 0x40a28abe4b17e4b2, 0x406c2c8bed925ccc, 0x0},
 	{0xf0, 0xa29, 0xa29, 0x75c,
-		0x0, 0x0, 0x404c0b85e4528b52, 0x40d50192b3c4d5e5, 0x40c3860c1fdb9749, 0x4035e04ebd2b9a08, 0x40722a1b4e81b4e8, 0x406c7120d8a9a8b5, 0x0},
+		0x0, 0x0, 0x404c0b85e4528b55, 0x40d50192b3c4d5e5, 0x40c3860c1fdb9749, 0x4035e04ebd2b9a08, 0x40722a1b4e81b4e8, 0x406c7120d8a9a8b5, 0x0},
 	{0x1e0, 0x1388, 0x1388, 0xc37,
-		0x0, 0x0, 0x404bb453f497673a, 0x40eaeb970a3d70a6, 0x40d8f022a1907f64, 0x40328a3d70a3d70a, 0x40a4d001b4e81b4f, 0x407c4ed6631e02c0, 0x3ff4dc3b2c858b20},
+		0x0, 0x0, 0x404bb453f4976729, 0x40eaeb970a3d70a6, 0x40d8f022a1907f64, 0x40328a3d70a3d70a, 0x40a4d001b4e81b4f, 0x407c4ed6631e02c0, 0x3ff4dc3b2c858fe0},
 }
 
 // TestFleetFoldGolden pins the federated fold's output bits against

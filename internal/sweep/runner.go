@@ -20,21 +20,17 @@ var ErrCanceled = errors.New("sweep: canceled")
 type Options struct {
 	// Replicas is the number of seed replicas per scenario (default 1).
 	Replicas int
-	// Workers is the sweep's total parallelism budget — one shared
-	// internal/par pool of this size runs both the across-study workers
-	// (one study per worker) and every study's intra-study fork-joins
-	// (speculative placement, federated cells' fleet windows). The two
-	// layers cannot oversubscribe: intra-study shards are handed only to
-	// workers that are idle at that instant, so a sweep that saturates
-	// the pool with studies runs each study inline, and as the queue
-	// drains the freed workers start accelerating the stragglers. 0 means
-	// GOMAXPROCS.
+	// Workers is the sweep's total parallelism budget: Run builds one
+	// internal/par pool of this size for the across-study units and every
+	// study's intra-study fork-joins (speculative placement, federated
+	// cells' fleet windows). The budget is never exceeded: a shard goes
+	// only to a helper that is idle at that instant. In practice the
+	// units do not spread: ForkJoin offers work to helpers once, on entry,
+	// and that offer misses on the pool built a moment earlier, so the
+	// caller runs every unit itself, one at a time, and the helpers pick
+	// up only intra-study shards (ROADMAP item 1). 0 means GOMAXPROCS.
 	// Worker count never affects results, only wall-clock.
 	Workers int
-	// Pool, when non-nil, is used instead of constructing (and closing) a
-	// fresh pool of Workers size — for callers embedding the sweep in a
-	// larger parallel computation that already owns a budget.
-	Pool *par.Pool
 	// BaseSeed roots per-run seed derivation; 0 means Matrix.Base.Seed.
 	BaseSeed uint64
 	// Progress, when non-nil, is called after each completed run with
@@ -85,8 +81,8 @@ func DeriveSeed(baseSeed uint64, scenarioIdx, replicaIdx int) uint64 {
 	return h
 }
 
-// Run expands the matrix and executes every scenario × replica across the
-// shared worker pool. Any run error (including a scenario whose
+// Run expands the matrix and executes every scenario × replica on one
+// worker pool of Options.Workers. Any run error (including a scenario whose
 // configuration fails validation) stops the remaining queue and is
 // returned.
 func (m Matrix) Run(opts Options) (*Result, error) {
@@ -123,11 +119,8 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 		}
 	}
 
-	pool := opts.Pool
-	if pool == nil {
-		pool = par.NewPool(opts.Workers)
-		defer pool.Close()
-	}
+	pool := par.NewPool(opts.Workers)
+	defer pool.Close()
 
 	total := len(scenarios) * replicas
 	// One cell per scenario × replica. A plain scenario's cell is a single
@@ -190,7 +183,8 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 			// workers pick them up, busy pools degrade to inline. Either
 			// way the study result is bit-identical (see
 			// core.Study.SetPool). A sweep never shards a study's event
-			// loop: its workers are spent across studies first.
+			// loop; its budget is meant for the units (see
+			// Options.Workers).
 			st.SetPool(pool)
 			// Stream per-job results into the reduction as they finish,
 			// so the study releases full job records in flight and the

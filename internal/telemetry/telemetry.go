@@ -10,19 +10,14 @@
 // by dedicated-server classes (Figure 6), and host CPU/memory histograms
 // (Figure 7). Per-job means are kept for trace export.
 //
-// # Sharded fold
+// # Fold order
 //
-// The recorder keeps NumFoldShards complete histogram sets alongside the
-// final ("global") one. The telemetry walk in internal/core assigns every
-// draw chunk to the fixed shard (chunk index mod NumFoldShards) and folds
-// the chunk's samples straight into that shard's set, chunks in ascending
-// order on the event-loop goroutine. Seal merges the shards into the
-// global set in fixed shard order (0..NumFoldShards-1) at study end.
-// Because the mapping and the merge order are fixed, results are
-// bit-identical across pool sizes and engines. The fold order is part of
-// the output contract (PERFORMANCE.md): integer bucket counts are
-// order-invariant, but the float sums backing histogram means depend on
-// it, so changing the mapping or the merge order shifts every mean.
+// The recorder keeps one set of histograms. Every sample folds into it in
+// the order the caller records it: the telemetry tick in internal/core
+// records running jobs in running-list order, then servers in ID order, on
+// the event-loop goroutine. Integer bucket counts do not depend on that
+// order, but the float sums behind the histogram means do, so the fold
+// order is part of the output contract (PERFORMANCE.md § PR 20).
 package telemetry
 
 import (
@@ -49,12 +44,6 @@ const (
 	// NumSizeClasses is the class count.
 	NumSizeClasses
 )
-
-// NumFoldShards is the number of histogram fold shards the recorder keeps.
-// It is a fixed constant — never derived from worker count or pool size —
-// because the chunk→shard assignment must be identical for every execution
-// configuration for results to stay bit-identical.
-const NumFoldShards = 8
 
 // ClassFor maps a GPU count to its representative class.
 func ClassFor(gpus int) SizeClass {
@@ -120,11 +109,11 @@ const histBuckets = 100
 
 func newPctHist() *stats.Histogram { return stats.NewHistogram(0, 100, histBuckets) }
 
-// histSet is one complete set of the analysis histograms. The recorder owns
-// NumFoldShards of them plus the global set the accessors read; every
-// histogram shares the [0, 100] percent shape, so one bucket computation
-// fans out across a set.
-type histSet struct {
+// Recorder aggregates telemetry into one set of histograms (see Fold
+// order). Every histogram shares the [0, 100] percent shape, so one bucket
+// computation fans out across the set. Not safe for concurrent use:
+// internal/core records from the event-loop goroutine only.
+type Recorder struct {
 	bySizeStatus [NumSizeClasses][3]*stats.Histogram
 	all          *stats.Histogram
 	allByStatus  [3]*stats.Histogram
@@ -136,102 +125,6 @@ type histSet struct {
 	dedicated8, dedicated16 *stats.Histogram
 
 	hostCPU, hostMem *stats.Histogram
-}
-
-func newHistSet() *histSet {
-	h := &histSet{
-		all:         newPctHist(),
-		spread16:    map[int]*stats.Histogram{},
-		dedicated8:  newPctHist(),
-		dedicated16: newPctHist(),
-		hostCPU:     newPctHist(),
-		hostMem:     newPctHist(),
-	}
-	for s := SizeClass(0); s < NumSizeClasses; s++ {
-		for o := 0; o < 3; o++ {
-			h.bySizeStatus[s][o] = newPctHist()
-		}
-	}
-	for o := 0; o < 3; o++ {
-		h.allByStatus[o] = newPctHist()
-	}
-	return h
-}
-
-// recordJobMinute records one per-minute GPU-utilization sample into this
-// set, updating the job's accumulator. The bucket index is computed once
-// and fanned out — one division per sample instead of one per histogram.
-func (h *histSet) recordJobMinute(u *JobUsage, meta JobMeta, util float64) {
-	class := ClassFor(meta.GPUs)
-	o := int(meta.Outcome)
-	idx, under, over := h.all.BucketFor(util)
-	h.bySizeStatus[class][o].AddAt(util, idx, under, over)
-	h.allByStatus[o].AddAt(util, idx, under, over)
-	h.all.AddAt(util, idx, under, over)
-
-	if meta.GPUs == 16 {
-		sp, ok := h.spread16[meta.Servers]
-		if !ok {
-			sp = newPctHist()
-			h.spread16[meta.Servers] = sp
-		}
-		sp.AddAt(util, idx, under, over)
-		if meta.Servers == 2 && !meta.Colocated {
-			h.dedicated16.AddAt(util, idx, under, over)
-		}
-	}
-	if meta.GPUs == 8 && meta.Servers == 1 && !meta.Colocated {
-		h.dedicated8.AddAt(util, idx, under, over)
-	}
-
-	u.SumUtil += util
-	u.Minutes++
-}
-
-// recordHostMinute records one per-minute host sample into this set.
-func (h *histSet) recordHostMinute(cpuUtil, memUtil float64) {
-	h.hostCPU.Add(cpuUtil)
-	h.hostMem.Add(memUtil)
-}
-
-// mergeFrom folds another set into this one. Every histogram pair shares
-// the percent shape, so Merge cannot fail on live recorders.
-func (h *histSet) mergeFrom(o *histSet) {
-	must := func(err error) {
-		if err != nil {
-			panic("telemetry: fold-shard merge shape mismatch: " + err.Error())
-		}
-	}
-	for s := SizeClass(0); s < NumSizeClasses; s++ {
-		for st := 0; st < 3; st++ {
-			must(h.bySizeStatus[s][st].Merge(o.bySizeStatus[s][st]))
-		}
-	}
-	for st := 0; st < 3; st++ {
-		must(h.allByStatus[st].Merge(o.allByStatus[st]))
-	}
-	must(h.all.Merge(o.all))
-	for servers, sp := range o.spread16 {
-		dst, ok := h.spread16[servers]
-		if !ok {
-			dst = newPctHist()
-			h.spread16[servers] = dst
-		}
-		must(dst.Merge(sp))
-	}
-	must(h.dedicated8.Merge(o.dedicated8))
-	must(h.dedicated16.Merge(o.dedicated16))
-	must(h.hostCPU.Merge(o.hostCPU))
-	must(h.hostMem.Merge(o.hostMem))
-}
-
-// Recorder aggregates telemetry. Not safe for concurrent use:
-// internal/core records from the event-loop goroutine only.
-type Recorder struct {
-	global *histSet
-	// shards are the fold-shard sets, merged into global by Seal (nil
-	// afterwards, so sealed recorders compare by their merged state alone).
-	shards []*histSet
 
 	// dense backs the per-job accumulators for ID-dense workloads (IDs
 	// 1..n, see Reserve): slot i serves job ID i+1. The backing array is
@@ -247,12 +140,21 @@ type Recorder struct {
 // NewRecorder builds an empty recorder.
 func NewRecorder() *Recorder {
 	r := &Recorder{
-		global: newHistSet(),
-		shards: make([]*histSet, NumFoldShards),
-		perJob: map[cluster.JobID]*JobUsage{},
+		all:         newPctHist(),
+		spread16:    map[int]*stats.Histogram{},
+		dedicated8:  newPctHist(),
+		dedicated16: newPctHist(),
+		hostCPU:     newPctHist(),
+		hostMem:     newPctHist(),
+		perJob:      map[cluster.JobID]*JobUsage{},
 	}
-	for i := range r.shards {
-		r.shards[i] = newHistSet()
+	for s := SizeClass(0); s < NumSizeClasses; s++ {
+		for o := 0; o < 3; o++ {
+			r.bySizeStatus[s][o] = newPctHist()
+		}
+	}
+	for o := 0; o < 3; o++ {
+		r.allByStatus[o] = newPctHist()
 	}
 	return r
 }
@@ -264,49 +166,6 @@ func NewRecorder() *Recorder {
 func (r *Recorder) Reserve(n int) {
 	r.dense = make([]JobUsage, n)
 	r.denseUsed = make([]bool, n)
-}
-
-// FoldShard is a handle on one fold shard's histogram set. Handles to
-// different shards may record concurrently; a single shard's handle must
-// only be used by one goroutine at a time.
-type FoldShard struct{ set *histSet }
-
-// FoldShard returns the handle for fold shard g in [0, NumFoldShards).
-// Only valid before Seal.
-func (r *Recorder) FoldShard(g int) FoldShard { return FoldShard{r.shards[g]} }
-
-// RecordJobMinuteInto records one job sample into the shard.
-func (f FoldShard) RecordJobMinuteInto(u *JobUsage, meta JobMeta, util float64) {
-	f.set.recordJobMinute(u, meta, util)
-}
-
-// RecordHostMinute records one host sample into the shard.
-func (f FoldShard) RecordHostMinute(cpuUtil, memUtil float64) {
-	f.set.recordHostMinute(cpuUtil, memUtil)
-}
-
-// Seal merges the fold shards into the final histogram set, in fixed shard
-// order, and releases them. Accessors reflect shard-recorded samples only
-// after Seal; recording through FoldShard handles afterwards is invalid.
-// Idempotent.
-func (r *Recorder) Seal() {
-	if r.shards == nil {
-		return
-	}
-	for _, sh := range r.shards {
-		r.global.mergeFrom(sh)
-	}
-	r.shards = nil
-}
-
-// Sealed reports whether Seal has run.
-func (r *Recorder) Sealed() bool { return r.shards == nil }
-
-// RecordJobMinute records one per-minute GPU-utilization sample (percent,
-// averaged over the job's GPUs) for a running job, directly into the final
-// set — the single-writer path for callers outside the sharded walk.
-func (r *Recorder) RecordJobMinute(meta JobMeta, util float64) {
-	r.global.recordJobMinute(r.EnsureJob(meta.ID), meta, util)
 }
 
 // EnsureJob returns the job's usage accumulator, creating it on first use.
@@ -328,39 +187,64 @@ func (r *Recorder) EnsureJob(id cluster.JobID) *JobUsage {
 	return u
 }
 
-// RecordJobMinuteInto is RecordJobMinute with the per-job accumulator
-// supplied by the caller (see EnsureJob).
+// RecordJobMinuteInto records one per-minute GPU-utilization sample
+// (percent, averaged over the job's GPUs) for a running job, updating the
+// job's accumulator u (see EnsureJob). The bucket index is computed once
+// and fanned out — one division per sample instead of one per histogram.
 func (r *Recorder) RecordJobMinuteInto(u *JobUsage, meta JobMeta, util float64) {
-	r.global.recordJobMinute(u, meta, util)
+	class := ClassFor(meta.GPUs)
+	o := int(meta.Outcome)
+	idx, under, over := r.all.BucketFor(util)
+	r.bySizeStatus[class][o].AddAt(util, idx, under, over)
+	r.allByStatus[o].AddAt(util, idx, under, over)
+	r.all.AddAt(util, idx, under, over)
+
+	if meta.GPUs == 16 {
+		sp, ok := r.spread16[meta.Servers]
+		if !ok {
+			sp = newPctHist()
+			r.spread16[meta.Servers] = sp
+		}
+		sp.AddAt(util, idx, under, over)
+		if meta.Servers == 2 && !meta.Colocated {
+			r.dedicated16.AddAt(util, idx, under, over)
+		}
+	}
+	if meta.GPUs == 8 && meta.Servers == 1 && !meta.Colocated {
+		r.dedicated8.AddAt(util, idx, under, over)
+	}
+
+	u.SumUtil += util
+	u.Minutes++
 }
 
-// RecordHostMinute records one per-minute host sample for a server into the
-// final set.
+// RecordHostMinute records one per-minute host sample for a server.
 func (r *Recorder) RecordHostMinute(cpuUtil, memUtil float64) {
-	r.global.recordHostMinute(cpuUtil, memUtil)
+	r.hostCPU.Add(cpuUtil)
+	r.hostMem.Add(memUtil)
 }
 
 // SizeStatus returns the utilization histogram for a size class × outcome.
 func (r *Recorder) SizeStatus(class SizeClass, o failures.Outcome) *stats.Histogram {
-	return r.global.bySizeStatus[class][int(o)]
+	return r.bySizeStatus[class][int(o)]
 }
 
 // AllByStatus returns the all-sizes histogram for an outcome.
 func (r *Recorder) AllByStatus(o failures.Outcome) *stats.Histogram {
-	return r.global.allByStatus[int(o)]
+	return r.allByStatus[int(o)]
 }
 
 // All returns the histogram over every job sample.
-func (r *Recorder) All() *stats.Histogram { return r.global.all }
+func (r *Recorder) All() *stats.Histogram { return r.all }
 
 // Spread16 returns the Table 5 histogram for 16-GPU jobs over the given
 // server count (nil if never observed).
-func (r *Recorder) Spread16(servers int) *stats.Histogram { return r.global.spread16[servers] }
+func (r *Recorder) Spread16(servers int) *stats.Histogram { return r.spread16[servers] }
 
 // Spread16Servers lists observed spreads ascending.
 func (r *Recorder) Spread16Servers() []int {
 	var out []int
-	for s := range r.global.spread16 {
+	for s := range r.spread16 {
 		out = append(out, s)
 	}
 	sort.Ints(out)
@@ -368,16 +252,16 @@ func (r *Recorder) Spread16Servers() []int {
 }
 
 // Dedicated8 returns the Figure 6 histogram for dedicated 8-GPU jobs.
-func (r *Recorder) Dedicated8() *stats.Histogram { return r.global.dedicated8 }
+func (r *Recorder) Dedicated8() *stats.Histogram { return r.dedicated8 }
 
 // Dedicated16 returns the Figure 6 histogram for dedicated 16-GPU jobs.
-func (r *Recorder) Dedicated16() *stats.Histogram { return r.global.dedicated16 }
+func (r *Recorder) Dedicated16() *stats.Histogram { return r.dedicated16 }
 
 // HostCPU returns the Figure 7 CPU histogram.
-func (r *Recorder) HostCPU() *stats.Histogram { return r.global.hostCPU }
+func (r *Recorder) HostCPU() *stats.Histogram { return r.hostCPU }
 
 // HostMem returns the Figure 7 memory histogram.
-func (r *Recorder) HostMem() *stats.Histogram { return r.global.hostMem }
+func (r *Recorder) HostMem() *stats.Histogram { return r.hostMem }
 
 // JobUsageOf returns accumulated usage for a job (zero value if none).
 func (r *Recorder) JobUsageOf(id cluster.JobID) JobUsage {

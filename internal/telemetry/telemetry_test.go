@@ -1,11 +1,9 @@
 package telemetry
 
 import (
-	"reflect"
 	"testing"
 
 	"philly/internal/failures"
-	"philly/internal/stats"
 )
 
 func TestClassFor(t *testing.T) {
@@ -23,11 +21,17 @@ func TestClassFor(t *testing.T) {
 	}
 }
 
+// record folds one job sample the way internal/core does: the job's
+// accumulator from EnsureJob, then RecordJobMinuteInto.
+func record(r *Recorder, meta JobMeta, util float64) {
+	r.RecordJobMinuteInto(r.EnsureJob(meta.ID), meta, util)
+}
+
 func TestRecordJobMinuteGrouping(t *testing.T) {
 	r := NewRecorder()
 	meta := JobMeta{ID: 1, GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: false}
-	r.RecordJobMinute(meta, 70)
-	r.RecordJobMinute(meta, 80)
+	record(r, meta, 70)
+	record(r, meta, 80)
 
 	if got := r.SizeStatus(Size8GPU, failures.Passed).Count(); got != 2 {
 		t.Errorf("size-status count = %d, want 2", got)
@@ -59,11 +63,11 @@ func TestRecordJobMinuteGrouping(t *testing.T) {
 
 func TestColocated8GPUNotDedicated(t *testing.T) {
 	r := NewRecorder()
-	r.RecordJobMinute(JobMeta{ID: 1, GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: true}, 50)
+	record(r, JobMeta{ID: 1, GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: true}, 50)
 	if got := r.Dedicated8().Count(); got != 0 {
 		t.Errorf("colocated job leaked into dedicated8: %d", got)
 	}
-	r.RecordJobMinute(JobMeta{ID: 2, GPUs: 8, Outcome: failures.Passed, Servers: 2, Colocated: false}, 50)
+	record(r, JobMeta{ID: 2, GPUs: 8, Outcome: failures.Passed, Servers: 2, Colocated: false}, 50)
 	if got := r.Dedicated8().Count(); got != 0 {
 		t.Errorf("2-server 8-GPU job leaked into dedicated8: %d", got)
 	}
@@ -72,7 +76,7 @@ func TestColocated8GPUNotDedicated(t *testing.T) {
 func TestSpread16Grouping(t *testing.T) {
 	r := NewRecorder()
 	for _, servers := range []int{2, 2, 4, 8} {
-		r.RecordJobMinute(JobMeta{
+		record(r, JobMeta{
 			ID: 1, GPUs: 16, Outcome: failures.Passed, Servers: servers, Colocated: servers > 2,
 		}, 40)
 	}
@@ -118,199 +122,6 @@ func TestJobUsageZeroValue(t *testing.T) {
 	u := r.JobUsageOf(42)
 	if u.Minutes != 0 || u.MeanUtil() != 0 {
 		t.Errorf("usage of unknown job = %+v", u)
-	}
-}
-
-// foldMetas spans every grouping branch: all size classes, all outcomes,
-// 16-GPU spreads, dedicated 8/16, colocation.
-var foldMetas = []JobMeta{
-	{ID: 1, GPUs: 1, Outcome: failures.Passed, Servers: 1},
-	{ID: 2, GPUs: 4, Outcome: failures.Killed, Servers: 1, Colocated: true},
-	{ID: 3, GPUs: 8, Outcome: failures.Unsuccessful, Servers: 1},
-	{ID: 4, GPUs: 8, Outcome: failures.Passed, Servers: 2},
-	{ID: 5, GPUs: 16, Outcome: failures.Passed, Servers: 2},
-	{ID: 6, GPUs: 16, Outcome: failures.Killed, Servers: 2, Colocated: true},
-	{ID: 7, GPUs: 16, Outcome: failures.Passed, Servers: 4},
-	{ID: 8, GPUs: 32, Outcome: failures.Passed, Servers: 4},
-	{ID: 9, GPUs: 2, Outcome: failures.Passed, Servers: 1},
-	{ID: 10, GPUs: 16, Outcome: failures.Unsuccessful, Servers: 8},
-	{ID: 11, GPUs: 8, Outcome: failures.Killed, Servers: 1},
-	{ID: 12, GPUs: 1, Outcome: failures.Unsuccessful, Servers: 1, Colocated: true},
-}
-
-// tickSamples is one telemetry tick's worth of draws: one util per job
-// (clamped to [0, 100] so the boundary branches are exercised) and one
-// cpu/mem pair per host.
-type tickSamples struct {
-	utils    []float64
-	cpu, mem []float64
-}
-
-func drawTicks(nTicks, nHosts int, seed uint64) []tickSamples {
-	rng := stats.NewRNG(seed)
-	out := make([]tickSamples, nTicks)
-	for t := range out {
-		tk := &out[t]
-		for range foldMetas {
-			util := float64(int(rng.Float64()*1200)-100) / 10
-			if util < 0 {
-				util = 0
-			}
-			if util > 100 {
-				util = 100
-			}
-			tk.utils = append(tk.utils, util)
-		}
-		for s := 0; s < nHosts; s++ {
-			tk.cpu = append(tk.cpu, rng.Float64()*100)
-			tk.mem = append(tk.mem, rng.Float64()*100)
-		}
-	}
-	return out
-}
-
-// foldTick replays one tick through the per-chunk fold shards the way the
-// core walk does: job chunks first, then host chunks, chunk c into shard
-// c mod NumFoldShards. order lists the chunk indices to execute; the
-// caller may permute chunks ACROSS shards freely but must keep each
-// shard's own chunks ascending — exactly the freedom the fork-join has.
-func foldTick(r *Recorder, tk *tickSamples, chunkSize int, order []int) {
-	jobChunks := (len(foldMetas) + chunkSize - 1) / chunkSize
-	for _, c := range order {
-		sh := r.FoldShard(c % NumFoldShards)
-		if c < jobChunks {
-			lo, hi := c*chunkSize, (c+1)*chunkSize
-			if hi > len(foldMetas) {
-				hi = len(foldMetas)
-			}
-			for i := lo; i < hi; i++ {
-				sh.RecordJobMinuteInto(r.EnsureJob(foldMetas[i].ID), foldMetas[i], tk.utils[i])
-			}
-			continue
-		}
-		hc := c - jobChunks
-		lo, hi := hc*chunkSize, (hc+1)*chunkSize
-		if hi > len(tk.cpu) {
-			hi = len(tk.cpu)
-		}
-		for i := lo; i < hi; i++ {
-			sh.RecordHostMinute(tk.cpu[i], tk.mem[i])
-		}
-	}
-}
-
-// TestShardedFoldInvariance pins the PR 8 fold-order determinism contract:
-// the sealed recorder is a pure function of the per-shard chunk sequences,
-// independent of how chunks from DIFFERENT shards interleave in time. One
-// recorder folds chunks in natural ascending order (the sequential walk);
-// the other executes whole shards in reverse shard order (an adversarial
-// parallel schedule). After Seal the two must be deep-equal — every bucket
-// count AND every float sum.
-func TestShardedFoldInvariance(t *testing.T) {
-	const chunkSize, nHosts = 2, 16
-	ticks := drawTicks(40, nHosts, 11)
-	jobChunks := (len(foldMetas) + chunkSize - 1) / chunkSize
-	total := jobChunks + (nHosts+chunkSize-1)/chunkSize
-
-	natural := make([]int, 0, total)
-	for c := 0; c < total; c++ {
-		natural = append(natural, c)
-	}
-	scrambled := make([]int, 0, total)
-	for g := NumFoldShards - 1; g >= 0; g-- {
-		for c := g; c < total; c += NumFoldShards {
-			scrambled = append(scrambled, c)
-		}
-	}
-
-	a, b := NewRecorder(), NewRecorder()
-	for i := range ticks {
-		foldTick(a, &ticks[i], chunkSize, natural)
-		foldTick(b, &ticks[i], chunkSize, scrambled)
-	}
-	a.Seal()
-	b.Seal()
-	if !a.Sealed() || !b.Sealed() {
-		t.Fatal("Seal did not mark recorders sealed")
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("sealed recorder depends on cross-shard execution order")
-	}
-	// Sealing again must be a no-op.
-	b.Seal()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("Seal is not idempotent")
-	}
-}
-
-// TestShardedFoldCountsMatchFused pins what the fold-order change may and
-// may not shift relative to a single-sink sequential recording of the same
-// samples: integer state (bucket counts, totals, minutes) is order-
-// invariant and must match exactly; float sums accumulate in a different
-// association and may only drift at rounding level (means within 1e-9).
-func TestShardedFoldCountsMatchFused(t *testing.T) {
-	const chunkSize, nHosts = 2, 16
-	ticks := drawTicks(40, nHosts, 11)
-	jobChunks := (len(foldMetas) + chunkSize - 1) / chunkSize
-	total := jobChunks + (nHosts+chunkSize-1)/chunkSize
-	order := make([]int, 0, total)
-	for c := 0; c < total; c++ {
-		order = append(order, c)
-	}
-
-	fused, sharded := NewRecorder(), NewRecorder()
-	for i := range ticks {
-		tk := &ticks[i]
-		for j, m := range foldMetas {
-			fused.RecordJobMinuteInto(fused.EnsureJob(m.ID), m, tk.utils[j])
-		}
-		for s := range tk.cpu {
-			fused.RecordHostMinute(tk.cpu[s], tk.mem[s])
-		}
-		foldTick(sharded, tk, chunkSize, order)
-	}
-	fused.Seal()
-	sharded.Seal()
-
-	type histPair struct {
-		name string
-		f, s *stats.Histogram
-	}
-	pairs := []histPair{
-		{"all", fused.All(), sharded.All()},
-		{"dedicated8", fused.Dedicated8(), sharded.Dedicated8()},
-		{"dedicated16", fused.Dedicated16(), sharded.Dedicated16()},
-		{"hostCPU", fused.HostCPU(), sharded.HostCPU()},
-		{"hostMem", fused.HostMem(), sharded.HostMem()},
-	}
-	for _, o := range []failures.Outcome{failures.Passed, failures.Killed, failures.Unsuccessful} {
-		pairs = append(pairs, histPair{"byStatus", fused.AllByStatus(o), sharded.AllByStatus(o)})
-		for _, cl := range []SizeClass{Size1GPU, Size4GPU, Size8GPU, Size16GPU, SizeOther} {
-			pairs = append(pairs, histPair{"sizeStatus", fused.SizeStatus(cl, o), sharded.SizeStatus(cl, o)})
-		}
-	}
-	for _, srv := range fused.Spread16Servers() {
-		pairs = append(pairs, histPair{"spread16", fused.Spread16(srv), sharded.Spread16(srv)})
-	}
-	for _, p := range pairs {
-		if p.f.Count() != p.s.Count() {
-			t.Errorf("%s: count %d != fused %d", p.name, p.s.Count(), p.f.Count())
-		}
-		if d := p.s.Mean() - p.f.Mean(); d > 1e-9 || d < -1e-9 {
-			t.Errorf("%s: mean drift %g beyond rounding", p.name, d)
-		}
-	}
-	for _, m := range foldMetas {
-		uf, us := fused.JobUsageOf(m.ID), sharded.JobUsageOf(m.ID)
-		if uf.Minutes != us.Minutes {
-			t.Errorf("job %d minutes %d != %d", m.ID, us.Minutes, uf.Minutes)
-		}
-		if d := us.MeanUtil() - uf.MeanUtil(); d > 1e-9 || d < -1e-9 {
-			t.Errorf("job %d mean util drift %g", m.ID, d)
-		}
-	}
-	if fused.NumJobsSampled() != sharded.NumJobsSampled() {
-		t.Errorf("jobs sampled %d != %d", sharded.NumJobsSampled(), fused.NumJobsSampled())
 	}
 }
 

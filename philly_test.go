@@ -163,8 +163,8 @@ func TestRunFederatedFacade(t *testing.T) {
 const goldenExportSHA256 = "3f48524241481532f0e38575084d1cd7f932a409406a5eb352f615c018719bfd"
 
 var goldenMeanBits = [...]uint64{
-	0x404cd8c4b6185758, 0x404d24e33919e63f, 0x4047a262d857134b,
-	0x4052c817d7f702f0, 0x402037edbd2ac13b, 0x40425206fde40835,
+	0x404cd8c4b61857b9, 0x404d24e33919e64d, 0x4047a262d8571345,
+	0x4052c817d7f70315, 0x402037edbd2ac166, 0x40425206fde40867,
 }
 
 // TestStudyOutputGolden pins one study's output bits — the trace export
@@ -175,7 +175,8 @@ var goldenMeanBits = [...]uint64{
 // every shape the same way, such as a new fold order. The study is
 // SmallConfig with servers and VC quotas tripled, 1,000 jobs over a
 // quarter of the duration: 117 servers and a peak running set above 64
-// jobs, so job chunks and host chunks fold into several fold shards.
+// jobs, every sample folded into the recorder's one histogram set in the
+// tick's order (running jobs, then servers).
 //
 // The constants change only with a deliberate output-contract change.
 // To re-record them, run
