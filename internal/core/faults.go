@@ -178,38 +178,15 @@ func (s *Study) outageServers(o faults.Outage) []int {
 
 // killJob terminates a running attempt hit by an outage and sends the job
 // back through the queue — the same Release+Submit path commitFinish uses
-// for retries. A clean attempt salvages work up to its last periodic
-// checkpoint (nothing without the cost model) and owes a restore; the rest
-// of the episode is lost GPU time. A failing attempt keeps its cumulative
-// runtime-to-failure clock, exactly like a preemption, so the job's
-// planned failure budget is honored across the kill.
+// for retries. The episode is charged and salvaged to its last checkpoint
+// (see salvageToCheckpoint).
 func (s *Study) killJob(js *jobState, now simulation.Time) {
 	if js == nil || !js.running {
 		return
 	}
-	elapsed := float64(now - js.episodeStart)
-	js.attemptRunSec += elapsed
-	s.accountEpisode(js, elapsed)
+	s.salvageToCheckpoint(js, s.chargeEpisode(js, now))
 	s.outStats.KilledAttempts++
 	js.res.OutageKills++
-	if js.currentFailure() == nil {
-		retainedWall := 0.0
-		if ck := s.cfg.Checkpoint; ck.Enabled && js.spec.Train.CheckpointEveryEpochs > 0 {
-			retainedWall = math.Floor(elapsed/float64(ck.Interval)) * float64(ck.Interval)
-			js.pendingRestoreSec = ck.RestoreSeconds
-		}
-		done := retainedWall / js.slowdown
-		js.remainingWorkSec -= done
-		if js.remainingWorkSec < 0 {
-			js.remainingWorkSec = 0
-		}
-		js.sched.RemainingSeconds = js.remainingWorkSec
-		lost := (elapsed - retainedWall) / 60 * float64(js.spec.GPUs)
-		js.res.LostGPUMinutes += lost
-		s.outStats.LostGPUHours += lost / 60
-	}
-	js.running = false
-	js.finishSeq++ // invalidate the scheduled finish pair
 	s.removeRunning(js)
 	if err := s.sched.ReleaseJob(js.sched, now); err != nil {
 		panic(fmt.Sprintf("core: outage release job %d: %v", js.sched.ID, err))
@@ -217,4 +194,25 @@ func (s *Study) killJob(js *jobState, now simulation.Time) {
 	if err := s.sched.Submit(js.sched, now); err != nil {
 		panic(fmt.Sprintf("core: outage resubmit job %d: %v", js.sched.ID, err))
 	}
+}
+
+// salvageToCheckpoint settles a clean episode cut short by an outage kill
+// or an evacuation: work up to its last periodic checkpoint survives and
+// the next episode owes a restore; the wall time since that checkpoint
+// (the whole episode when the cost model is off) is lost GPU time. A
+// failing attempt keeps its cumulative runtime-to-failure clock, exactly
+// like a preemption, so the job's planned failure budget is honored.
+func (s *Study) salvageToCheckpoint(js *jobState, elapsed float64) {
+	if js.currentFailure() != nil {
+		return
+	}
+	retainedWall := 0.0
+	if ck := s.cfg.Checkpoint; ck.Enabled && js.spec.Train.CheckpointEveryEpochs > 0 {
+		retainedWall = math.Floor(elapsed/float64(ck.Interval)) * float64(ck.Interval)
+		js.pendingRestoreSec = ck.RestoreSeconds
+	}
+	js.sched.RemainingSeconds = max(js.sched.RemainingSeconds-retainedWall/js.slowdown, 0)
+	lost := (elapsed - retainedWall) / 60 * float64(js.spec.GPUs)
+	js.res.LostGPUMinutes += lost
+	s.outStats.LostGPUHours += lost / 60
 }

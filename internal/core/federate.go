@@ -14,6 +14,7 @@ import (
 	"philly/internal/cluster"
 	"philly/internal/scheduler"
 	"philly/internal/simulation"
+	"philly/internal/stats"
 	"philly/internal/workload"
 )
 
@@ -128,7 +129,6 @@ func (s *Study) InjectResumed(spec workload.JobSpec, remainingSec, penaltySec fl
 		return 0, fmt.Errorf("core: inject resumed job with negative penalty %v", penaltySec)
 	}
 	return s.inject(spec, now, func(js *jobState) {
-		js.remainingWorkSec = remainingSec
 		js.sched.RemainingSeconds = remainingSec
 		js.pendingRestoreSec = penaltySec
 		js.res.Resumed = true
@@ -150,9 +150,8 @@ func (s *Study) inject(spec workload.JobSpec, now simulation.Time, setup func(*j
 	if !ok {
 		return 0, fmt.Errorf("core: inject into unknown VC %q", spec.VC)
 	}
-	if spec.GPUs <= 0 || spec.GPUs > s.cluster.TotalGPUs() {
-		return 0, fmt.Errorf("core: inject job of %d GPUs into a %d-GPU cluster",
-			spec.GPUs, s.cluster.TotalGPUs())
+	if err := s.checkWidth(&spec); err != nil {
+		return 0, err
 	}
 	s.injectSeq++
 	id := cluster.JobID(injectIDBase + s.injectSeq)
@@ -161,16 +160,15 @@ func (s *Study) inject(spec workload.JobSpec, now simulation.Time, setup func(*j
 	res := &JobResult{Spec: spec, Spillover: true}
 	s.extra = append(s.extra, res)
 	js := &jobState{
-		spec:             &res.Spec,
-		res:              res,
-		idx:              len(s.results) + len(s.extra) - 1,
-		remainingWorkSec: s.cleanWorkSeconds(&res.Spec),
-		runIdx:           -1,
-		stagedAttempt:    -1,
-		shard:            shard,
-		sched:            scheduler.NewJob(id, spec.VC, spec.GPUs, now),
+		spec:          &res.Spec,
+		res:           res,
+		idx:           len(s.results) + len(s.extra) - 1,
+		runIdx:        -1,
+		stagedAttempt: -1,
+		shard:         shard,
+		sched:         scheduler.NewJob(id, spec.VC, spec.GPUs, now),
 	}
-	js.sched.RemainingSeconds = js.remainingWorkSec
+	js.sched.RemainingSeconds = s.cleanWorkSeconds(&res.Spec)
 	if setup != nil {
 		setup(js)
 	}
@@ -228,10 +226,10 @@ func (s *Study) EvacuationCandidates(max int) []EvacuationCandidate {
 		if js.currentFailure() != nil {
 			continue // mid-failure-plan: no clean checkpoint to restore
 		}
-		if js.spec.Train.CheckpointEveryEpochs == 0 || js.remainingWorkSec <= 0 {
+		if js.spec.Train.CheckpointEveryEpochs == 0 || js.sched.RemainingSeconds <= 0 {
 			continue
 		}
-		out = append(out, EvacuationCandidate{ID: id, GPUs: js.spec.GPUs, RemainingSeconds: js.remainingWorkSec})
+		out = append(out, EvacuationCandidate{ID: id, GPUs: js.spec.GPUs, RemainingSeconds: js.sched.RemainingSeconds})
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].GPUs != out[b].GPUs {
@@ -246,8 +244,8 @@ func (s *Study) EvacuationCandidates(max int) []EvacuationCandidate {
 }
 
 // Evacuate checkpoint-migrates a restorable job out of this study. A
-// running attempt is cut at its last periodic checkpoint with the same
-// salvage accounting as an outage kill (the un-checkpointed tail counts as
+// running attempt is cut at its last periodic checkpoint through the
+// outage kill's salvageToCheckpoint (the un-checkpointed tail counts as
 // lost GPU time here); a queued one is simply withdrawn. The result shell
 // stays, marked Evacuated — every GPU-hour the job burned here remains
 // charged here — and the open attempt record is closed. The returned spec
@@ -262,28 +260,12 @@ func (s *Study) Evacuate(id cluster.JobID, now simulation.Time) (workload.JobSpe
 		return workload.JobSpec{}, 0, fmt.Errorf("core: evacuate unknown job %d", id)
 	}
 	if js.res.Offloaded || js.res.Evacuated || js.res.Completed ||
-		js.currentFailure() != nil || js.remainingWorkSec <= 0 ||
+		js.currentFailure() != nil || js.sched.RemainingSeconds <= 0 ||
 		(!js.attemptOpen && js.res.Attempts == nil) {
 		return workload.JobSpec{}, 0, fmt.Errorf("core: job %d is not evacuation-restorable", id)
 	}
 	if js.running {
-		elapsed := float64(now - js.episodeStart)
-		js.attemptRunSec += elapsed
-		s.accountEpisode(js, elapsed)
-		retainedWall := 0.0
-		if ck := s.cfg.Checkpoint; ck.Enabled && js.spec.Train.CheckpointEveryEpochs > 0 {
-			retainedWall = float64(ck.Interval) * float64(int(elapsed/float64(ck.Interval)))
-		}
-		done := retainedWall / js.slowdown
-		js.remainingWorkSec -= done
-		if js.remainingWorkSec < 0 {
-			js.remainingWorkSec = 0
-		}
-		lost := (elapsed - retainedWall) / 60 * float64(js.spec.GPUs)
-		js.res.LostGPUMinutes += lost
-		s.outStats.LostGPUHours += lost / 60
-		js.running = false
-		js.finishSeq++ // invalidate the scheduled finish pair
+		s.salvageToCheckpoint(js, s.chargeEpisode(js, now))
 		s.removeRunning(js)
 		if err := s.sched.ReleaseJob(js.sched, now); err != nil {
 			panic(fmt.Sprintf("core: evacuate release job %d: %v", id, err))
@@ -310,7 +292,7 @@ func (s *Study) Evacuate(id cluster.JobID, now simulation.Time) (workload.JobSpe
 	// The current attempt is clean, so every planned failing attempt has
 	// already been consumed here; the receiving member must not replay them.
 	spec.Plan.FailedAttempts = nil
-	remaining := js.remainingWorkSec
+	remaining := js.sched.RemainingSeconds
 	if remaining < 1 {
 		remaining = 1
 	}
@@ -357,33 +339,15 @@ func (s *Study) RebalanceVCQuotas() int {
 	if total == 0 || pool < len(names) {
 		return 0
 	}
-	avail := pool - len(names) // everyone keeps a floor of 1
-	quotas := make([]int, len(names))
-	type remainder struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]remainder, len(names))
-	assigned := 0
-	for i, d := range demands {
-		exact := float64(avail) * float64(d) / float64(total)
-		base := int(exact)
-		quotas[i] = 1 + base
-		assigned += base
-		rems[i] = remainder{i, exact - float64(base)}
-	}
-	// Stable sort: equal fractional parts keep VC order, so the leftover
-	// distribution is a pure function of the demand vector.
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	for k := 0; k < avail-assigned; k++ {
-		quotas[rems[k].idx]++
-	}
+	// Everyone keeps a floor of 1; the rest of the pool follows demand.
+	shares := stats.LargestRemainder(pool-len(names), demands)
 	changed := 0
 	for i, n := range names {
-		if quotas[i] == s.sched.VCQuota(n) {
+		q := 1 + shares[i]
+		if q == s.sched.VCQuota(n) {
 			continue
 		}
-		if err := s.sched.SetQuota(n, quotas[i]); err != nil {
+		if err := s.sched.SetQuota(n, q); err != nil {
 			panic(fmt.Sprintf("core: rebalance quota for %s: %v", n, err))
 		}
 		changed++

@@ -157,7 +157,12 @@ type OccupancySample struct {
 	DownGPUs float64
 }
 
-// jobState is the driver's runtime bookkeeping for one job.
+// jobState is the study's runtime bookkeeping for one job. Each per-job
+// quantity has one home: run and GPU time live in res (charged by
+// chargeEpisode), the ideal-placement work remaining for the final (clean)
+// attempt lives in sched.RemainingSeconds (the scheduler's SRTF key, set
+// at Arm or inject and cut by retainPreempted and salvageToCheckpoint),
+// and the utilization samples live in usage.
 type jobState struct {
 	spec  *workload.JobSpec
 	sched *scheduler.Job
@@ -165,9 +170,6 @@ type jobState struct {
 
 	// attemptIdx indexes the current attempt (0-based).
 	attemptIdx int
-	// remainingWorkSec is ideal-placement work remaining for the final
-	// (clean) attempt, reduced by checkpointed progress on preemption.
-	remainingWorkSec float64
 	// baseUtil is the per-job utilization level for the current episode.
 	baseUtil float64
 	// slowdown is the current episode's placement slowdown.
@@ -186,9 +188,9 @@ type jobState struct {
 	idx int
 	// meta is the telemetry grouping key for the current episode.
 	meta telemetry.JobMeta
-	// usage is the job's telemetry accumulator handle, created on first
-	// start; the telemetry walk updates it directly.
-	usage *telemetry.JobUsage
+	// usage accumulates the job's per-minute utilization samples: the
+	// telemetry tick folds into it, and finalize reads its mean.
+	usage telemetry.JobUsage
 	// stream is the job's pre-split utilization stream — splitmix64-derived
 	// from (studySeed, jobID), seeded in place on first start (streamInit).
 	// Both the per-episode base draw and the per-minute samples come from
@@ -452,21 +454,14 @@ func NewStudy(cfg Config) (*Study, error) {
 		s.detReason[code] = r.Deterministic
 	}
 	s.jobs = gen.Generate(wlRNG)
-	s.results = make([]JobResult, len(s.jobs))
-	// Synthetic workloads number jobs densely from 1; replayed traces may
-	// carry arbitrary IDs. When the IDs are verifiably dense, the telemetry
-	// recorder backs per-job accumulators with one flat table instead of a
-	// map entry per job.
-	dense := true
 	for i := range s.jobs {
-		if s.jobs[i].ID != int64(i+1) {
-			dense = false
-			break
+		// A replayed trace may ask for more GPUs than this cluster has; the
+		// scheduler would refuse the job mid-run, so refuse the study here.
+		if err := s.checkWidth(&s.jobs[i]); err != nil {
+			return nil, err
 		}
 	}
-	if dense {
-		s.rec.Reserve(len(s.jobs))
-	}
+	s.results = make([]JobResult, len(s.jobs))
 	if cfg.Faults.Enabled {
 		topo := faults.Topology{RackServers: make([]int, len(cfg.Cluster.Racks))}
 		for i, rc := range cfg.Cluster.Racks {
@@ -593,16 +588,15 @@ func (s *Study) Arm() simulation.Time {
 		sj.Tag = i
 		js := &s.jobStates[i]
 		*js = jobState{
-			spec:             spec,
-			res:              res,
-			idx:              i,
-			remainingWorkSec: s.cleanWorkSeconds(spec),
-			runIdx:           -1,
-			stagedAttempt:    -1,
-			shard:            shardOf[spec.VC],
-			sched:            sj,
+			spec:          spec,
+			res:           res,
+			idx:           i,
+			runIdx:        -1,
+			stagedAttempt: -1,
+			shard:         shardOf[spec.VC],
+			sched:         sj,
 		}
-		sj.RemainingSeconds = js.remainingWorkSec
+		sj.RemainingSeconds = s.cleanWorkSeconds(spec)
 		s.states[sj.ID] = js
 		s.pending++
 	}
@@ -707,6 +701,15 @@ func (s *Study) Collect() (*StudyResult, error) {
 	}, nil
 }
 
+// checkWidth refuses a job whose gang cannot fit this cluster at all.
+func (s *Study) checkWidth(spec *workload.JobSpec) error {
+	if spec.GPUs <= 0 || spec.GPUs > s.cluster.TotalGPUs() {
+		return fmt.Errorf("core: job %d requests %d GPUs but the cluster has %d",
+			spec.ID, spec.GPUs, s.cluster.TotalGPUs())
+	}
+	return nil
+}
+
 // cleanWorkSeconds is the ideal-placement duration of the job's clean run:
 // full training for passed jobs, the kill fraction for killed jobs, zero
 // for unsuccessful jobs (they only ever run failing attempts).
@@ -776,30 +779,7 @@ func (s *Study) onStart(ev scheduler.StartEvent, now simulation.Time) {
 	if js == nil {
 		panic(fmt.Sprintf("core: start event for unknown job %d", ev.Job.ID))
 	}
-	shape := perfmodel.JobShape{
-		GPUs:      js.spec.GPUs,
-		Servers:   ev.Placement.NumServers(),
-		Colocated: s.cluster.SharesServers(ev.Job.ID),
-		CrossRack: ev.Placement.CrossRack(s.cluster),
-	}
-	js.meta = telemetry.JobMeta{
-		ID:        ev.Job.ID,
-		GPUs:      js.spec.GPUs,
-		Outcome:   js.spec.Plan.Outcome,
-		Servers:   shape.Servers,
-		Colocated: shape.Colocated,
-	}
-	if !js.streamInit {
-		// First start: seed the job's private utilization stream and make
-		// its usage accumulator. Derivation is stateless in (seed, jobID),
-		// so stream content is independent of start order.
-		js.streamInit = true
-		js.stream.Init(stats.DeriveEntitySeed(s.cfg.Seed, "job-util", uint64(js.spec.ID)))
-		js.usage = s.rec.EnsureJob(js.sched.ID)
-	}
-	js.slowdown = s.util.Slowdown(shape) * s.ckptFactor(js)
-	js.baseUtil = s.util.JobBaseUtil(shape, js.spec.Plan.Outcome, &js.stream)
-	js.episodeStart = now
+	shape := s.placeEpisode(js, ev.Placement, now)
 	js.running = true
 	if js.runIdx < 0 {
 		js.runIdx = len(s.running)
@@ -834,15 +814,7 @@ func (s *Study) onStart(ev scheduler.StartEvent, now simulation.Time) {
 		})
 	}
 
-	// Schedule the episode end.
-	var episodeSec float64
-	if fa := js.currentFailure(); fa != nil {
-		// Failing attempt: runs until its RTF elapses (RTF counts this
-		// attempt's cumulative runtime; preemption splits don't reset it).
-		episodeSec = fa.RTFMinutes*60 - js.attemptRunSec
-	} else {
-		episodeSec = js.remainingWorkSec * js.slowdown
-	}
+	episodeSec := js.episodeSeconds()
 	if js.pendingRestoreSec > 0 {
 		// Restoring from the last checkpoint (after an outage kill or a
 		// cross-member evacuation) stretches the episode; the cost is
@@ -851,10 +823,49 @@ func (s *Study) onStart(ev scheduler.StartEvent, now simulation.Time) {
 		s.accountCkptOverhead(js, js.pendingRestoreSec)
 		js.pendingRestoreSec = 0
 	}
-	if episodeSec < 1 {
-		episodeSec = 1
-	}
 	s.scheduleFinish(js, episodeSec, now)
+}
+
+// placeEpisode begins an episode on placement p at now and derives its
+// placement-dependent parameters: the telemetry grouping key, the
+// placement slowdown (with the checkpoint-write stretch) and the
+// base-utilization draw from the job's private stream, seeded here on
+// first start. onStart and onMigrate share it; a migrated job keeps its
+// running-list slot, so the telemetry tick draws in the same order.
+func (s *Study) placeEpisode(js *jobState, p cluster.Placement, now simulation.Time) perfmodel.JobShape {
+	shape := perfmodel.JobShape{
+		GPUs:      js.spec.GPUs,
+		Servers:   p.NumServers(),
+		Colocated: s.cluster.SharesServers(js.sched.ID),
+		CrossRack: p.CrossRack(s.cluster),
+	}
+	js.meta = telemetry.JobMeta{
+		GPUs:      js.spec.GPUs,
+		Outcome:   js.spec.Plan.Outcome,
+		Servers:   shape.Servers,
+		Colocated: shape.Colocated,
+	}
+	if !js.streamInit {
+		// Derivation is stateless in (seed, jobID), so stream content is
+		// independent of start order.
+		js.streamInit = true
+		js.stream.Init(stats.DeriveEntitySeed(s.cfg.Seed, "job-util", uint64(js.spec.ID)))
+	}
+	js.slowdown = s.util.Slowdown(shape) * s.ckptFactor(js)
+	js.baseUtil = s.util.JobBaseUtil(shape, js.spec.Plan.Outcome, &js.stream)
+	js.episodeStart = now
+	return shape
+}
+
+// episodeSeconds is the wall time an episode starting now runs to its end
+// at the current slowdown: a failing attempt runs out its runtime-to-failure
+// (the clock counts the attempt's cumulative runtime, so preemption splits
+// do not reset it), a clean one its remaining work.
+func (js *jobState) episodeSeconds() float64 {
+	if fa := js.currentFailure(); fa != nil {
+		return fa.RTFMinutes*60 - js.attemptRunSec
+	}
+	return js.sched.RemainingSeconds * js.slowdown
 }
 
 // ckptFactor is the wall-time stretch periodic checkpoint writes impose on
@@ -880,9 +891,10 @@ func (s *Study) accountCkptOverhead(js *jobState, wallSec float64) {
 }
 
 // scheduleFinish arms the episode-end event pair: a shard-local prepare
-// step at the CURRENT time and a global commit step at the episode's end.
-// Both are scheduled here, in global context, so the sharded engine
-// assigns them exactly the (at, seq) keys the sequential engine would.
+// step at the CURRENT time and a global commit step at the episode's end,
+// at least one second away. Both are scheduled here, in global context, so
+// the sharded engine assigns them exactly the (at, seq) keys the
+// sequential engine would.
 //
 // The prepare runs at episode start rather than episode end because its
 // entire computation is already determined here: the failure plan fixes
@@ -897,11 +909,47 @@ func (s *Study) accountCkptOverhead(js *jobState, wallSec float64) {
 // halves; an invalidated prepare's stream draws are identical in both
 // engines (both run the same eager schedule), so determinism is unharmed.
 func (s *Study) scheduleFinish(js *jobState, episodeSec float64, now simulation.Time) {
+	if episodeSec < 1 {
+		episodeSec = 1
+	}
 	js.finishSeq++
 	seq := js.finishSeq
 	at := now + simulation.Time(episodeSec+0.5)
 	s.engine.AtShard(js.shard, now, func() { s.prepareFinish(js, seq) })
 	s.engine.At(at, func() { s.commitFinish(js, seq) })
+}
+
+// chargeEpisode ends the running episode's accounting at now and returns
+// its elapsed wall seconds: the time joins the attempt clock and the job's
+// RunMinutes and GPUMinutes, and its checkpoint-write share is charged as
+// overhead. Every way an episode ends — finish, preemption, migration,
+// outage kill, evacuation — charges through here.
+func (s *Study) chargeEpisode(js *jobState, now simulation.Time) float64 {
+	elapsed := float64(now - js.episodeStart)
+	js.attemptRunSec += elapsed
+	js.res.RunMinutes += elapsed / 60
+	js.res.GPUMinutes += elapsed / 60 * float64(js.spec.GPUs)
+	if f := s.ckptFactor(js); f > 1 {
+		s.accountCkptOverhead(js, elapsed*(1-1/f))
+	}
+	return elapsed
+}
+
+// retainPreempted keeps the checkpointed share of a clean episode's
+// progress when a preemption or migration cuts it short: the
+// CheckpointRetention share of the elapsed wall time, at the episode's
+// slowdown, for jobs that checkpoint at all. The rest is re-run; the
+// attempt clock already counts it, so its GPU time stays charged. A
+// failing attempt keeps only its runtime-to-failure clock.
+func (s *Study) retainPreempted(js *jobState, elapsed float64) {
+	if js.currentFailure() != nil {
+		return
+	}
+	retention := 0.0
+	if js.spec.Train.CheckpointEveryEpochs > 0 {
+		retention = s.cfg.CheckpointRetention
+	}
+	js.sched.RemainingSeconds = max(js.sched.RemainingSeconds-elapsed/js.slowdown*retention, 0)
 }
 
 // onPreempt suspends a running episode; the scheduler has already requeued
@@ -911,84 +959,33 @@ func (s *Study) onPreempt(ev scheduler.PreemptEvent, now simulation.Time) {
 	if js == nil || !js.running {
 		return
 	}
-	elapsed := float64(now - js.episodeStart)
-	js.attemptRunSec += elapsed
 	js.res.Preemptions++
-	s.accountEpisode(js, elapsed)
-	if js.currentFailure() == nil {
-		// Clean run: checkpointed progress survives; the rest is lost.
-		retention := 0.0
-		if js.spec.Train.CheckpointEveryEpochs > 0 {
-			retention = s.cfg.CheckpointRetention
-		}
-		done := elapsed / js.slowdown * retention
-		js.remainingWorkSec -= done
-		if js.remainingWorkSec < 0 {
-			js.remainingWorkSec = 0
-		}
-		js.sched.RemainingSeconds = js.remainingWorkSec
-		// Work lost to the preemption is re-run: the attempt's cumulative
-		// clock keeps counting, so GPU time is charged faithfully.
-	}
-	js.running = false
-	js.finishSeq++ // invalidate the scheduled finish
+	s.retainPreempted(js, s.chargeEpisode(js, now))
 	s.removeRunning(js)
 }
 
-// onMigrate re-places a running job after a defragmentation move: the old
-// episode is accounted, the placement-derived performance parameters are
-// recomputed for the new servers, and the checkpoint-restore pause is added
-// to the remaining wall time.
+// onMigrate re-places a running job after a defragmentation move. The old
+// episode ends like a preemption — charged, with the checkpointed share of
+// its progress kept — and a new one begins on the new servers with the
+// checkpoint-restore pause added to its wall time. The job stays on the
+// running list.
 func (s *Study) onMigrate(ev scheduler.MigrationEvent, now simulation.Time) {
 	js := s.stateOf(ev.Job)
 	if js == nil || !js.running {
 		return
 	}
-	elapsed := float64(now - js.episodeStart)
-	js.attemptRunSec += elapsed
-	s.accountEpisode(js, elapsed)
-	if js.currentFailure() == nil {
-		// Live migration goes through a checkpoint; progress since the
-		// last checkpoint is re-run, like a preemption.
-		retention := 0.0
-		if js.spec.Train.CheckpointEveryEpochs > 0 {
-			retention = s.cfg.CheckpointRetention
-		}
-		done := elapsed / js.slowdown * retention
-		js.remainingWorkSec -= done
-		if js.remainingWorkSec < 0 {
-			js.remainingWorkSec = 0
-		}
-		js.sched.RemainingSeconds = js.remainingWorkSec
-	}
-	shape := perfmodel.JobShape{
-		GPUs:      js.spec.GPUs,
-		Servers:   ev.Job.Placement.NumServers(),
-		Colocated: s.cluster.SharesServers(ev.Job.ID),
-		CrossRack: ev.Job.Placement.CrossRack(s.cluster),
-	}
-	js.slowdown = s.util.Slowdown(shape) * s.ckptFactor(js)
-	js.baseUtil = s.util.JobBaseUtil(shape, js.spec.Plan.Outcome, &js.stream)
-	js.meta.Servers = shape.Servers
-	js.meta.Colocated = shape.Colocated
-	js.episodeStart = now
-
-	var episodeSec float64
-	if fa := js.currentFailure(); fa != nil {
-		episodeSec = fa.RTFMinutes*60 - js.attemptRunSec
-	} else {
-		episodeSec = js.remainingWorkSec * js.slowdown
-	}
-	episodeSec += s.cfg.Defrag.PauseSeconds
-	if episodeSec < 1 {
-		episodeSec = 1
-	}
-	s.scheduleFinish(js, episodeSec, now)
+	s.retainPreempted(js, s.chargeEpisode(js, now))
+	s.placeEpisode(js, ev.Job.Placement, now)
+	s.scheduleFinish(js, js.episodeSeconds()+s.cfg.Defrag.PauseSeconds, now)
 }
 
-// removeRunning drops the job from the running set in O(1) by tombstoning
-// its slot; the slice is compacted (order-preserving) once mostly dead.
+// removeRunning stops the job's running episode: it clears running,
+// invalidates the scheduled finish pair, and drops the job from the
+// running set in O(1) by tombstoning its slot; the slice is compacted
+// (order-preserving) once mostly dead.
 func (s *Study) removeRunning(js *jobState) {
+	js.running = false
+	js.finishSeq++
 	if js.runIdx < 0 {
 		return
 	}
@@ -1008,16 +1005,6 @@ func (s *Study) removeRunning(js *jobState) {
 			s.running[i] = nil
 		}
 		s.running = live
-	}
-}
-
-// accountEpisode charges an episode's runtime to the job result.
-func (s *Study) accountEpisode(js *jobState, elapsedSec float64) {
-	js.res.RunMinutes += elapsedSec / 60
-	js.res.GPUMinutes += elapsedSec / 60 * float64(js.spec.GPUs)
-	if f := s.ckptFactor(js); f > 1 {
-		// The write-overhead share of the episode's wall time.
-		s.accountCkptOverhead(js, elapsedSec*(1-1/f))
 	}
 }
 
@@ -1098,10 +1085,7 @@ func (s *Study) commitFinish(js *jobState, seq int) {
 		panic(fmt.Sprintf("core: commit for job %d ran without its prepare (engine ordering bug)", js.sched.ID))
 	}
 	now := s.engine.Now()
-	elapsed := float64(now - js.episodeStart)
-	js.attemptRunSec += elapsed
-	s.accountEpisode(js, elapsed)
-	js.running = false
+	s.chargeEpisode(js, now)
 	s.removeRunning(js)
 	if err := s.sched.ReleaseJob(js.sched, now); err != nil {
 		panic(fmt.Sprintf("core: release job %d: %v", js.sched.ID, err))
@@ -1118,14 +1102,11 @@ func (s *Study) commitFinish(js *jobState, seq int) {
 		js.attemptIdx++
 		js.attemptRunSec = 0
 		js.attemptOpen = false
-	} else {
-		js.remainingWorkSec = 0
 	}
 
 	decision := js.decision
 	js.decision = decideNone
 	if decision == decideRetry {
-		js.sched.RemainingSeconds = js.remainingWorkSec
 		if err := s.sched.Submit(js.sched, now); err != nil {
 			panic(fmt.Sprintf("core: resubmit job %d: %v", js.sched.ID, err))
 		}
@@ -1194,11 +1175,7 @@ func (s *Study) finalize(js *jobState, now simulation.Time) {
 			res.EverColocated = true
 		}
 	}
-	if js.usage != nil {
-		res.MeanUtil = js.usage.MeanUtil()
-	} else {
-		res.MeanUtil = s.rec.JobUsageOf(js.sched.ID).MeanUtil()
-	}
+	res.MeanUtil = js.usage.MeanUtil()
 	if js.pendingConv != nil {
 		// Prepared on the job's shard (see prepareFinish); the condition
 		// there — LogsConvergence and a non-Unsuccessful planned outcome —
@@ -1273,7 +1250,7 @@ func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
 func (s *Study) sampleTelemetry(now simulation.Time) {
 	for _, js := range s.running {
 		if js != nil && js.running {
-			s.rec.RecordJobMinuteInto(js.usage, js.meta, s.util.MinuteUtil(js.baseUtil, &js.stream))
+			s.rec.RecordJobMinuteInto(&js.usage, js.meta, s.util.MinuteUtil(js.baseUtil, &js.stream))
 		}
 	}
 	used, caps := s.cluster.UsedBySrv(), s.cluster.CapBySrv()

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"philly/internal/cluster"
 	"philly/internal/failures"
 	"philly/internal/faults"
 	"philly/internal/telemetry"
@@ -41,11 +40,10 @@ func TestTelemetryCountsConserved(t *testing.T) {
 			tel := res.Telemetry
 
 			var jobMinutes, minutes16 uint64
-			for i := range res.Jobs {
-				spec := &res.Jobs[i].Spec
-				m := uint64(tel.JobUsageOf(cluster.JobID(spec.ID)).Minutes)
+			for _, js := range st.states {
+				m := uint64(js.usage.Minutes)
 				jobMinutes += m
-				if spec.GPUs == 16 {
+				if js.spec.GPUs == 16 {
 					minutes16 += m
 				}
 			}

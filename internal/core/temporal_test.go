@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"philly/internal/cluster"
 	"philly/internal/simulation"
 	"philly/internal/stats"
 	"philly/internal/workload"
@@ -200,5 +202,34 @@ func TestTieHeavyReplayBatchesArrivals(t *testing.T) {
 	if ws.Barriers == 0 || ws.Barriers > ws.GlobalEvents {
 		t.Fatalf("barrier accounting out of range: %d barriers, %d globals",
 			ws.Barriers, ws.GlobalEvents)
+	}
+}
+
+// TestNewStudyRefusesOverwideReplay pins the replay width check: a replayed
+// job wider than the whole cluster can never be placed, and the scheduler
+// refuses it when it arrives. NewStudy must refuse the study up front with
+// an error naming the job and both widths, instead of panicking mid-run.
+func TestNewStudyRefusesOverwideReplay(t *testing.T) {
+	cfg := SmallConfig()
+	g := stats.NewRNG(cfg.Seed).Split("workload")
+	gen, err := workload.NewGenerator(cfg.Workload, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := gen.Generate(g)
+	specs[6].GPUs = 4096
+	cfg.Workload.Replay = specs
+
+	st, err := NewStudy(cfg)
+	if st != nil || err == nil {
+		t.Fatal("NewStudy accepted a job wider than the cluster")
+	}
+	cl, cerr := cluster.New(cfg.Cluster)
+	if cerr != nil {
+		t.Fatal(cerr)
+	}
+	want := fmt.Sprintf("core: job %d requests 4096 GPUs but the cluster has %d", specs[6].ID, cl.TotalGPUs())
+	if err.Error() != want {
+		t.Fatalf("NewStudy error = %q, want %q", err, want)
 	}
 }

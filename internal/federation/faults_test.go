@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -157,6 +158,16 @@ func TestEvacuationAccounting(t *testing.T) {
 				}
 				if j.GPUMinutes <= 0 {
 					t.Fatalf("evacuated job %d kept no GPU time at the donor", j.Spec.ID)
+				}
+				// The donor shell's closed attempts account for every
+				// minute it ran here, the evacuated episode included.
+				attempts := 0.0
+				for _, a := range j.Attempts {
+					attempts += a.RuntimeMinutes
+				}
+				if math.Abs(attempts-j.RunMinutes) > 1e-9*j.RunMinutes {
+					t.Fatalf("evacuated job %d: attempts sum to %v min, RunMinutes %v",
+						j.Spec.ID, attempts, j.RunMinutes)
 				}
 			}
 			if j.Resumed {

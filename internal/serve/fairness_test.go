@@ -148,29 +148,3 @@ func TestLeasesNeverExceedBudget(t *testing.T) {
 		t.Errorf("%d workers still leased after all jobs finished", leased)
 	}
 }
-
-// TestLargestRemainder pins the apportionment arithmetic.
-func TestLargestRemainder(t *testing.T) {
-	cases := []struct {
-		budget  int
-		weights []int
-		want    []int
-	}{
-		{8, []int{1, 1}, []int{4, 4}},
-		{8, []int{3, 1}, []int{6, 2}},
-		{7, []int{1, 1}, []int{4, 3}}, // remainder seat to the first tie
-		{1, []int{1, 1}, []int{1, 0}}, // budget below tenant count
-		{5, []int{2, 2, 1}, []int{2, 2, 1}},
-		{0, []int{1, 2}, []int{0, 0}},
-		{4, nil, []int{}},
-	}
-	for _, tc := range cases {
-		got := largestRemainder(tc.budget, tc.weights)
-		if len(got) == 0 && len(tc.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("largestRemainder(%d, %v) = %v, want %v", tc.budget, tc.weights, got, tc.want)
-		}
-	}
-}

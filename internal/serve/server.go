@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"philly/internal/par"
+	"philly/internal/stats"
 	"philly/internal/sweep"
 )
 
@@ -314,39 +315,6 @@ func (s *Server) dispatch(hold <-chan struct{}) {
 	}
 }
 
-// largestRemainder apportions budget B across weights by the
-// largest-remainder method (the paper's VC-quota arithmetic): everyone
-// gets floor(B·w/W), the leftover seats go to the largest fractional
-// remainders, ties in input order. The input order is sorted tenant
-// names, so the apportionment is deterministic.
-func largestRemainder(budget int, weights []int) []int {
-	total := 0
-	for _, w := range weights {
-		total += w
-	}
-	quotas := make([]int, len(weights))
-	if total <= 0 || budget <= 0 {
-		return quotas
-	}
-	type rem struct {
-		idx  int
-		frac float64
-	}
-	rems := make([]rem, len(weights))
-	assigned := 0
-	for i, w := range weights {
-		exact := float64(budget) * float64(w) / float64(total)
-		quotas[i] = int(exact)
-		assigned += quotas[i]
-		rems[i] = rem{idx: i, frac: exact - float64(quotas[i])}
-	}
-	sort.SliceStable(rems, func(a, b int) bool { return rems[a].frac > rems[b].frac })
-	for i := 0; i < budget-assigned; i++ {
-		quotas[rems[i%len(rems)].idx]++
-	}
-	return quotas
-}
-
 // startNext starts at most one queued study and reports whether it did.
 // Selection is two deterministic passes over the active tenants (sorted
 // by name): first tenants that would stay within their largest-remainder
@@ -372,7 +340,7 @@ func (s *Server) startNext() bool {
 	for i, t := range active {
 		weights[i] = t.weight
 	}
-	quotas := largestRemainder(s.ledger.Size(), weights)
+	quotas := stats.LargestRemainder(s.ledger.Size(), weights)
 
 	// better reports whether a should be granted before b under weighted
 	// round-robin.

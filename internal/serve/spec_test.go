@@ -15,9 +15,9 @@ import (
 	"philly/internal/workload"
 )
 
-// writeTinyTrace writes a small valid spec-CSV trace into dir and
-// returns its file name.
-func writeTinyTrace(t *testing.T, dir, name string) string {
+// writeTinyTrace writes a small spec-CSV trace into dir and returns its
+// file name. edit, when non-nil, adjusts the generated specs first.
+func writeTinyTrace(t *testing.T, dir, name string, edit func([]workload.JobSpec)) string {
 	t.Helper()
 	cfg := core.SmallConfig()
 	cfg.Workload.TotalJobs = 30
@@ -26,8 +26,12 @@ func writeTinyTrace(t *testing.T, dir, name string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	specs := gen.Generate(g)
+	if edit != nil {
+		edit(specs)
+	}
 	var buf bytes.Buffer
-	if err := trace.WriteSpecsCSV(&buf, gen.Generate(g)); err != nil {
+	if err := trace.WriteSpecsCSV(&buf, specs); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
@@ -123,7 +127,7 @@ func TestSpecJobsCap(t *testing.T) {
 // leaks no existence information.
 func TestReplayPathConfinement(t *testing.T) {
 	dir := t.TempDir()
-	name := writeTinyTrace(t, dir, "ok.csv")
+	name := writeTinyTrace(t, dir, "ok.csv", nil)
 
 	r, err := Spec{Replay: name}.resolveWithin(dir)
 	if err != nil {
@@ -178,5 +182,39 @@ func TestReplayPathConfinement(t *testing.T) {
 	_, err = Spec{Replay: name}.resolveWithin(dir)
 	if err == nil || !strings.Contains(err.Error(), "over the 16-byte limit") {
 		t.Errorf("oversized trace resolved anyway: %v", err)
+	}
+}
+
+// TestOverwideReplayFailsOnlyItsJob submits a replay whose trace holds one
+// job wider than the whole cluster. Resolve cannot see the width (it reads
+// the trace only to digest it), so the study itself must refuse the job:
+// the serve job ends failed with the study's message, and the server keeps
+// serving — the next submit completes.
+func TestOverwideReplayFailsOnlyItsJob(t *testing.T) {
+	dir := t.TempDir()
+	var wideID int64
+	name := writeTinyTrace(t, dir, "wide.csv", func(specs []workload.JobSpec) {
+		specs[6].GPUs = 4096
+		wideID = specs[6].ID
+	})
+	s := New(Config{Budget: 2, TraceDir: dir})
+	defer s.Close()
+
+	j, err := s.Submit("t", Spec{Replay: name})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	st := waitFinished(t, j)
+	want := fmt.Sprintf("core: job %d requests 4096 GPUs but the cluster has ", wideID)
+	if st.State != StateFailed || !strings.Contains(st.Error, want) {
+		t.Fatalf("over-wide replay ended %s with error %q, want failed with %q", st.State, st.Error, want)
+	}
+
+	next, err := s.Submit("t", tinySpec(3))
+	if err != nil {
+		t.Fatalf("submit after the failed job: %v", err)
+	}
+	if st := waitFinished(t, next); st.State != StateDone {
+		t.Fatalf("submit after the failed job ended %s (%s), want done", st.State, st.Error)
 	}
 }

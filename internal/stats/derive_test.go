@@ -46,18 +46,18 @@ func TestDeriveStreamStability(t *testing.T) {
 	}
 }
 
-// TestHistogramResetAndMerge checks Reset restores the empty state and that
-// chunked accumulate+merge reproduces sequential Add counts exactly.
-func TestHistogramResetAndMerge(t *testing.T) {
+// TestHistogramChunkedMerge checks that accumulating chunks into fresh
+// histograms and merging them in chunk order reproduces sequential Add
+// counts exactly.
+func TestHistogramChunkedMerge(t *testing.T) {
 	seq := NewHistogram(0, 100, 10)
 	chunked := NewHistogram(0, 100, 10)
-	part := NewHistogram(0, 100, 10)
 	vals := []float64{1, 5, 5, 42, 99.9, -3, 150}
 	for _, v := range vals {
 		seq.Add(v)
 	}
 	for chunk := 0; chunk < len(vals); chunk += 3 {
-		part.Reset()
+		part := NewHistogram(0, 100, 10)
 		for i := chunk; i < chunk+3 && i < len(vals); i++ {
 			part.Add(vals[i])
 		}
@@ -83,9 +83,5 @@ func TestHistogramResetAndMerge(t *testing.T) {
 	b2, a2 := chunked.Clamped()
 	if b1 != b2 || a1 != a2 {
 		t.Fatalf("clamp counters diverged")
-	}
-	part.Reset()
-	if part.Count() != 0 {
-		t.Fatalf("reset left %d samples", part.Count())
 	}
 }

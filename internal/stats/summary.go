@@ -226,13 +226,6 @@ func (h *Histogram) AddAt(v float64, idx int, underlo, overhi bool) {
 	h.counts[idx]++
 }
 
-// AddN records the same sample n times.
-func (h *Histogram) AddN(v float64, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		h.Add(v)
-	}
-}
-
 // Merge adds all of other's counts into h. The histograms must have the same
 // shape.
 func (h *Histogram) Merge(other *Histogram) error {
@@ -250,20 +243,6 @@ func (h *Histogram) Merge(other *Histogram) error {
 	h.underlo += other.underlo
 	h.overhi += other.overhi
 	return nil
-}
-
-// Reset zeroes the histogram for reuse, keeping its shape. Together with
-// Merge it is what makes per-shard partial histograms cheap: a telemetry
-// shard resets a pooled histogram, accumulates its chunk, and the owner
-// folds it back with Merge in fixed chunk order.
-func (h *Histogram) Reset() {
-	if h.total == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.underlo, h.overhi = 0, 0, 0, 0
 }
 
 // Count returns the number of recorded samples.

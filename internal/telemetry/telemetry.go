@@ -8,7 +8,8 @@
 // needs: per-minute GPU-utilization histograms keyed by job size × final
 // status (Figure 5, Table 3), by server spread for 16-GPU jobs (Table 5),
 // by dedicated-server classes (Figure 6), and host CPU/memory histograms
-// (Figure 7). Per-job means are kept for trace export.
+// (Figure 7). Per-job means for trace export live with the job: the caller
+// owns each job's JobUsage and passes it to RecordJobMinuteInto.
 //
 // # Fold order
 //
@@ -23,7 +24,6 @@ package telemetry
 import (
 	"sort"
 
-	"philly/internal/cluster"
 	"philly/internal/failures"
 	"philly/internal/stats"
 )
@@ -83,7 +83,6 @@ func (s SizeClass) String() string {
 // samples. Outcome is known to the simulator up front; a production
 // pipeline would join it post hoc, with identical results.
 type JobMeta struct {
-	ID        cluster.JobID
 	GPUs      int
 	Outcome   failures.Outcome
 	Servers   int
@@ -125,16 +124,6 @@ type Recorder struct {
 	dedicated8, dedicated16 *stats.Histogram
 
 	hostCPU, hostMem *stats.Histogram
-
-	// dense backs the per-job accumulators for ID-dense workloads (IDs
-	// 1..n, see Reserve): slot i serves job ID i+1. The backing array is
-	// allocated once and never regrown, so *JobUsage handles stay valid.
-	dense     []JobUsage
-	denseUsed []bool
-	denseHits int
-	// perJob covers jobs outside the dense range (federation-injected IDs,
-	// replayed traces with arbitrary IDs).
-	perJob map[cluster.JobID]*JobUsage
 }
 
 // NewRecorder builds an empty recorder.
@@ -146,7 +135,6 @@ func NewRecorder() *Recorder {
 		dedicated16: newPctHist(),
 		hostCPU:     newPctHist(),
 		hostMem:     newPctHist(),
-		perJob:      map[cluster.JobID]*JobUsage{},
 	}
 	for s := SizeClass(0); s < NumSizeClasses; s++ {
 		for o := 0; o < 3; o++ {
@@ -159,38 +147,10 @@ func NewRecorder() *Recorder {
 	return r
 }
 
-// Reserve pre-sizes the per-job accumulator table for job IDs 1..n. Only
-// valid for workloads whose generated IDs are exactly that dense range (the
-// caller must verify); other IDs keep working through the fallback map.
-// Must be called before any sample is recorded.
-func (r *Recorder) Reserve(n int) {
-	r.dense = make([]JobUsage, n)
-	r.denseUsed = make([]bool, n)
-}
-
-// EnsureJob returns the job's usage accumulator, creating it on first use.
-// Callers on the per-tick hot path hold the returned handle, skipping the
-// lookup every sample would otherwise pay.
-func (r *Recorder) EnsureJob(id cluster.JobID) *JobUsage {
-	if i := int64(id); i >= 1 && i <= int64(len(r.dense)) {
-		if !r.denseUsed[i-1] {
-			r.denseUsed[i-1] = true
-			r.denseHits++
-		}
-		return &r.dense[i-1]
-	}
-	u := r.perJob[id]
-	if u == nil {
-		u = &JobUsage{}
-		r.perJob[id] = u
-	}
-	return u
-}
-
 // RecordJobMinuteInto records one per-minute GPU-utilization sample
 // (percent, averaged over the job's GPUs) for a running job, updating the
-// job's accumulator u (see EnsureJob). The bucket index is computed once
-// and fanned out — one division per sample instead of one per histogram.
+// job's accumulator u. The bucket index is computed once and fanned out —
+// one division per sample instead of one per histogram.
 func (r *Recorder) RecordJobMinuteInto(u *JobUsage, meta JobMeta, util float64) {
 	class := ClassFor(meta.GPUs)
 	o := int(meta.Outcome)
@@ -262,17 +222,3 @@ func (r *Recorder) HostCPU() *stats.Histogram { return r.hostCPU }
 
 // HostMem returns the Figure 7 memory histogram.
 func (r *Recorder) HostMem() *stats.Histogram { return r.hostMem }
-
-// JobUsageOf returns accumulated usage for a job (zero value if none).
-func (r *Recorder) JobUsageOf(id cluster.JobID) JobUsage {
-	if i := int64(id); i >= 1 && i <= int64(len(r.dense)) {
-		return r.dense[i-1]
-	}
-	if u := r.perJob[id]; u != nil {
-		return *u
-	}
-	return JobUsage{}
-}
-
-// NumJobsSampled returns how many distinct jobs produced samples.
-func (r *Recorder) NumJobsSampled() int { return r.denseHits + len(r.perJob) }

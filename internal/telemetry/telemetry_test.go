@@ -21,17 +21,19 @@ func TestClassFor(t *testing.T) {
 	}
 }
 
-// record folds one job sample the way internal/core does: the job's
-// accumulator from EnsureJob, then RecordJobMinuteInto.
+// record folds one sample of a job whose accumulator the test does not
+// inspect.
 func record(r *Recorder, meta JobMeta, util float64) {
-	r.RecordJobMinuteInto(r.EnsureJob(meta.ID), meta, util)
+	var u JobUsage
+	r.RecordJobMinuteInto(&u, meta, util)
 }
 
 func TestRecordJobMinuteGrouping(t *testing.T) {
 	r := NewRecorder()
-	meta := JobMeta{ID: 1, GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: false}
-	record(r, meta, 70)
-	record(r, meta, 80)
+	meta := JobMeta{GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: false}
+	var u JobUsage
+	r.RecordJobMinuteInto(&u, meta, 70)
+	r.RecordJobMinuteInto(&u, meta, 80)
 
 	if got := r.SizeStatus(Size8GPU, failures.Passed).Count(); got != 2 {
 		t.Errorf("size-status count = %d, want 2", got)
@@ -52,22 +54,18 @@ func TestRecordJobMinuteGrouping(t *testing.T) {
 	if got := r.Dedicated16().Count(); got != 0 {
 		t.Errorf("dedicated16 count = %d, want 0", got)
 	}
-	u := r.JobUsageOf(1)
 	if u.Minutes != 2 || u.MeanUtil() != 75 {
 		t.Errorf("job usage = %+v", u)
-	}
-	if r.NumJobsSampled() != 1 {
-		t.Errorf("jobs sampled = %d", r.NumJobsSampled())
 	}
 }
 
 func TestColocated8GPUNotDedicated(t *testing.T) {
 	r := NewRecorder()
-	record(r, JobMeta{ID: 1, GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: true}, 50)
+	record(r, JobMeta{GPUs: 8, Outcome: failures.Passed, Servers: 1, Colocated: true}, 50)
 	if got := r.Dedicated8().Count(); got != 0 {
 		t.Errorf("colocated job leaked into dedicated8: %d", got)
 	}
-	record(r, JobMeta{ID: 2, GPUs: 8, Outcome: failures.Passed, Servers: 2, Colocated: false}, 50)
+	record(r, JobMeta{GPUs: 8, Outcome: failures.Passed, Servers: 2, Colocated: false}, 50)
 	if got := r.Dedicated8().Count(); got != 0 {
 		t.Errorf("2-server 8-GPU job leaked into dedicated8: %d", got)
 	}
@@ -77,7 +75,7 @@ func TestSpread16Grouping(t *testing.T) {
 	r := NewRecorder()
 	for _, servers := range []int{2, 2, 4, 8} {
 		record(r, JobMeta{
-			ID: 1, GPUs: 16, Outcome: failures.Passed, Servers: servers, Colocated: servers > 2,
+			GPUs: 16, Outcome: failures.Passed, Servers: servers, Colocated: servers > 2,
 		}, 40)
 	}
 	if got := r.Spread16(2).Count(); got != 2 {
@@ -118,38 +116,8 @@ func TestHostRecording(t *testing.T) {
 }
 
 func TestJobUsageZeroValue(t *testing.T) {
-	r := NewRecorder()
-	u := r.JobUsageOf(42)
+	var u JobUsage
 	if u.Minutes != 0 || u.MeanUtil() != 0 {
-		t.Errorf("usage of unknown job = %+v", u)
-	}
-}
-
-// TestReserveDensePath pins the dense per-job table: IDs 1..n resolve to
-// arena slots (no map entries), out-of-range IDs fall back to the map, and
-// NumJobsSampled counts both.
-func TestReserveDensePath(t *testing.T) {
-	r := NewRecorder()
-	r.Reserve(4)
-	meta := JobMeta{ID: 2, GPUs: 1, Outcome: failures.Passed, Servers: 1}
-	u := r.EnsureJob(2)
-	r.RecordJobMinuteInto(u, meta, 50)
-	if u2 := r.EnsureJob(2); u2 != u {
-		t.Error("dense EnsureJob not stable across calls")
-	}
-	if got := r.JobUsageOf(2); got.Minutes != 1 || got.MeanUtil() != 50 {
-		t.Errorf("dense usage = %+v", got)
-	}
-	// Beyond the reserved range: map path.
-	big := r.EnsureJob(1 << 40)
-	r.RecordJobMinuteInto(big, meta, 70)
-	if got := r.JobUsageOf(1 << 40); got.Minutes != 1 || got.MeanUtil() != 70 {
-		t.Errorf("map-path usage = %+v", got)
-	}
-	if got := r.NumJobsSampled(); got != 2 {
-		t.Errorf("jobs sampled = %d, want 2", got)
-	}
-	if got := r.JobUsageOf(3); got.Minutes != 0 {
-		t.Errorf("untouched dense slot reported %+v", got)
+		t.Errorf("zero usage = %+v, mean %v", u, u.MeanUtil())
 	}
 }
