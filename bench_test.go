@@ -696,7 +696,7 @@ func BenchmarkSchedulerPumpChurn(b *testing.B) {
 			// dirtying the free state without disturbing the steady state
 			// (the replacement is the only gang that fits the freed slot).
 			old := fillers[fillerAt]
-			if err := s.ReleaseJob(old, now); err != nil {
+			if err := s.Release(old, now); err != nil {
 				b.Fatal(err)
 			}
 			fillers[fillerAt] = submit("churn", 1)

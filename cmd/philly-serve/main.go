@@ -25,8 +25,8 @@
 //
 // The tenant is the X-Philly-Tenant header (or ?tenant=); unlisted
 // tenants get -default-weight. -budget is the same worker budget
-// philly-sweep's -workers spends, shared by every running study: the
-// admission ledger guarantees the summed leases never exceed it.
+// philly-sweep's -workers spends, shared by every running study:
+// admission guarantees the summed leases never exceed it.
 //
 // Replay specs may only name relative paths inside -trace-dir (the
 // working directory by default); absolute paths and ".." escapes are

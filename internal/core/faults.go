@@ -188,7 +188,7 @@ func (s *Study) killJob(js *jobState, now simulation.Time) {
 	s.outStats.KilledAttempts++
 	js.res.OutageKills++
 	s.removeRunning(js)
-	if err := s.sched.ReleaseJob(js.sched, now); err != nil {
+	if err := s.sched.Release(js.sched, now); err != nil {
 		panic(fmt.Sprintf("core: outage release job %d: %v", js.sched.ID, err))
 	}
 	if err := s.sched.Submit(js.sched, now); err != nil {

@@ -90,7 +90,7 @@ func (s *Study) Offload(id cluster.JobID, now simulation.Time) (workload.JobSpec
 	if js.res.Resumed {
 		return workload.JobSpec{}, fmt.Errorf("core: job %d is a resumed copy; cannot offload it as a fresh job", id)
 	}
-	if err := s.sched.WithdrawJob(js.sched); err != nil {
+	if err := s.sched.Withdraw(js.sched); err != nil {
 		return workload.JobSpec{}, fmt.Errorf("core: offload job %d: %w", id, err)
 	}
 	js.res.Offloaded = true
@@ -267,14 +267,14 @@ func (s *Study) Evacuate(id cluster.JobID, now simulation.Time) (workload.JobSpe
 	if js.running {
 		s.salvageToCheckpoint(js, s.chargeEpisode(js, now))
 		s.removeRunning(js)
-		if err := s.sched.ReleaseJob(js.sched, now); err != nil {
+		if err := s.sched.Release(js.sched, now); err != nil {
 			panic(fmt.Sprintf("core: evacuate release job %d: %v", id, err))
 		}
 		// The freed gang may unblock queued jobs; pump on this member's
 		// lane like an injection, so the wake happens in member context.
 		s.engine.AtShard(js.shard, now, func() { s.pump() })
 	} else {
-		if err := s.sched.WithdrawJob(js.sched); err != nil {
+		if err := s.sched.Withdraw(js.sched); err != nil {
 			return workload.JobSpec{}, 0, fmt.Errorf("core: evacuate job %d: %w", id, err)
 		}
 	}

@@ -182,8 +182,6 @@ type jobState struct {
 	// attemptOpen marks that the current attempt already has a result
 	// record (a resumption after preemption must not open a new one).
 	attemptOpen bool
-	// attemptStartAt is when the current attempt first started running.
-	attemptStartAt simulation.Time
 	// idx is the job's index in Study.jobs / StudyResult.Jobs.
 	idx int
 	// meta is the telemetry grouping key for the current episode.
@@ -790,7 +788,6 @@ func (s *Study) onStart(ev scheduler.StartEvent, now simulation.Time) {
 	// New attempt (vs resumption after preemption)?
 	if !js.attemptOpen {
 		js.attemptOpen = true
-		js.attemptStartAt = now
 		if js.res.Attempts == nil {
 			if n := len(s.attemptFree); n > 0 {
 				// Reuse a slice recycled by finalize (streaming runs only);
@@ -1087,7 +1084,7 @@ func (s *Study) commitFinish(js *jobState, seq int) {
 	now := s.engine.Now()
 	s.chargeEpisode(js, now)
 	s.removeRunning(js)
-	if err := s.sched.ReleaseJob(js.sched, now); err != nil {
+	if err := s.sched.Release(js.sched, now); err != nil {
 		panic(fmt.Sprintf("core: release job %d: %v", js.sched.ID, err))
 	}
 

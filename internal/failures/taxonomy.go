@@ -351,6 +351,3 @@ func ByCode() map[string]*Reason {
 	}
 	return m
 }
-
-// RTFSpec exposes the fitted log-normal RTF distribution (minutes).
-func (r *Reason) RTFSpec() stats.LogNormalSpec { return r.rtf }

@@ -38,8 +38,8 @@ func (s *Scheduler) Defrag(now simulation.Time, maxWidth, maxMoves int) []Migrat
 		usedHere int
 	}
 	var cands []candidate
-	for _, name := range s.vcOrder {
-		for _, j := range s.vcs[name].running {
+	for _, vc := range s.vcList {
+		for _, j := range vc.running {
 			if j.GPUs > maxWidth {
 				continue
 			}

@@ -30,13 +30,12 @@ func TestDefragConsolidatesLoneSmallJobs(t *testing.T) {
 	if err := cl.Allocate(3, cluster.Placement{Slots: []cluster.Slot{{Server: 2, GPU: 0}, {Server: 2, GPU: 1}, {Server: 2, GPU: 2}, {Server: 2, GPU: 3}}}); err != nil {
 		t.Fatal(err)
 	}
-	// Register them as running with the scheduler by hand.
+	// Register them as running by hand, inserted in runningOrder.
 	for _, j := range []*Job{a, b, carrier} {
 		j.State = StateRunning
 		p, _ := cl.PlacementOf(j.ID)
 		j.Placement = p
-		s.vcs["vca"].running[j.ID] = j
-		s.vcs["vca"].used += j.GPUs
+		s.vcs["vca"].addRunning(j)
 	}
 
 	before := cl.EmptyServers()
@@ -91,8 +90,7 @@ func TestDefragLeavesWideAndPackedJobsAlone(t *testing.T) {
 		j.State = StateRunning
 		p, _ := cl.PlacementOf(j.ID)
 		j.Placement = p
-		s.vcs["vca"].running[j.ID] = j
-		s.vcs["vca"].used += j.GPUs
+		s.vcs["vca"].addRunning(j)
 	}
 	events := s.Defrag(100, 2, 10)
 	if len(events) != 0 {
@@ -113,8 +111,7 @@ func TestDefragRespectsMoveBudget(t *testing.T) {
 		j.State = StateRunning
 		p, _ := cl.PlacementOf(id)
 		j.Placement = p
-		s.vcs["vca"].running[id] = j
-		s.vcs["vca"].used++
+		s.vcs["vca"].addRunning(j)
 	}
 	if err := cl.Allocate(9, cluster.Placement{Slots: []cluster.Slot{{Server: 3, GPU: 0}, {Server: 3, GPU: 1}}}); err != nil {
 		t.Fatal(err)
@@ -123,8 +120,7 @@ func TestDefragRespectsMoveBudget(t *testing.T) {
 	carrier.State = StateRunning
 	p, _ := cl.PlacementOf(9)
 	carrier.Placement = p
-	s.vcs["vca"].running[9] = carrier
-	s.vcs["vca"].used += 2
+	s.vcs["vca"].addRunning(carrier)
 
 	if got := len(s.Defrag(100, 2, 1)); got != 1 {
 		t.Fatalf("migrations = %d, want budget-capped 1", got)

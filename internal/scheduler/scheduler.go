@@ -38,8 +38,9 @@
 // every method below falls on one side of the line:
 //
 //   - VC-local state: one vcState per virtual cluster — its queue, its
-//     ordered-queue cache, its running map and used counter. A mutation
-//     confined to one vcState could in principle run on that VC's shard.
+//     ordered-queue cache, its running set (one slice kept in runningOrder)
+//     and used counter. A mutation confined to one vcState could in
+//     principle run on that VC's shard.
 //   - Global state: the shared physical cluster (placement search,
 //     Allocate/Release), the Stats counters, and anything that walks
 //     vcList — Pump, fairSharePreempt (which preempts across VCs to serve
@@ -55,8 +56,11 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"philly/internal/cluster"
 	"philly/internal/par"
@@ -241,9 +245,6 @@ type Job struct {
 	// Placement is the current allocation while running.
 	Placement cluster.Placement
 
-	// Episodes counts scheduling episodes (1 + retries + preemption
-	// resumptions).
-	Episodes int
 	// FirstStartAt is when the job first began running (or 0).
 	FirstStartAt simulation.Time
 	// FirstQueueDelay is the queueing delay of the first episode — the
@@ -262,8 +263,6 @@ type Job struct {
 	// PriorAttainedGPUSeconds is the attained service from earlier
 	// episodes (Tiresias input).
 	PriorAttainedGPUSeconds float64
-	// Preemptions counts times this job was preempted.
-	Preemptions int
 	// Tag is an opaque caller-owned index the scheduler never reads or
 	// writes. internal/core stores the job's arena slot here so scheduler
 	// events resolve to driver state without a map lookup.
@@ -346,8 +345,13 @@ func (j *Job) Cause() DelayCause {
 // vcState is the per-VC runtime state.
 type vcState struct {
 	VC
-	queue   []*Job
-	running map[cluster.JobID]*Job
+	queue []*Job
+	// running is the VC's running set in runningOrder — oldest episode
+	// first, so the tail is the youngest — and used is its GPU total. Both
+	// change only through addRunning and removeRunning. Every reader takes
+	// its order from this slice or from an explicit comparison with an ID
+	// tie-break, so no reader copies or re-sorts it.
+	running []*Job
 	used    int
 	// queuedGPUs is the GPU total over queue, maintained incrementally so
 	// QueuedGPUDemand is O(1) — federation's quota rebalancing reads it per
@@ -368,6 +372,36 @@ type vcState struct {
 
 // invalidateOrder discards the cached queue ordering.
 func (vc *vcState) invalidateOrder() { vc.orderedValid = false }
+
+// runningOrder is the running set's one total order: StartedAt ascending,
+// ties by ID descending, so the youngest episode — lowest ID among equals —
+// is last. Fair-share preemption takes its victims from the tail.
+func runningOrder(a, b *Job) int {
+	if c := cmp.Compare(a.StartedAt, b.StartedAt); c != 0 {
+		return c
+	}
+	return cmp.Compare(b.ID, a.ID)
+}
+
+// addRunning inserts a started job at its runningOrder position. Starts
+// happen at the current time, which never goes backwards, so the insert
+// lands in the tail's same-instant group.
+func (vc *vcState) addRunning(j *Job) {
+	i, _ := slices.BinarySearchFunc(vc.running, j, runningOrder)
+	vc.running = slices.Insert(vc.running, i, j)
+	vc.used += j.GPUs
+}
+
+// removeRunning deletes a job from the running set. A job the search
+// cannot find means the order was broken, which must not pass silently.
+func (vc *vcState) removeRunning(j *Job) {
+	i, ok := slices.BinarySearchFunc(vc.running, j, runningOrder)
+	if !ok || vc.running[i] != j {
+		panic(fmt.Sprintf("scheduler: job %d missing from VC %q's running set", j.ID, vc.Name))
+	}
+	vc.running = slices.Delete(vc.running, i, i+1)
+	vc.used -= j.GPUs
+}
 
 // queueSorter sorts a job slice by the configured policy's key. It lives on
 // vcState so sort.Stable receives an already-heap-allocated interface value
@@ -483,19 +517,14 @@ type Scheduler struct {
 	cfg     Config
 	cluster *cluster.Cluster
 	vcs     map[string]*vcState
-	vcOrder []string
-	// vcList holds the VCs in vcOrder, resolved once: the scheduling loops
-	// run on every Pump and previously paid a string-map lookup per VC.
+	// vcList holds the VCs sorted by name — the one VC walk order every
+	// scheduling loop, VCIndex and VCNames use.
 	vcList []*vcState
 	stats  Stats
 
-	// candScratch and victimScratch are reused preemption-search buffers;
-	// candSorter and idSorter are the preallocated sort adapters over
-	// candScratch.
-	candScratch   []*Job
+	// victimScratch is the reused fair-share victim buffer: victims are
+	// gathered across VCs before any is preempted.
 	victimScratch []victimRef
-	candSorter    candidateSorter
-	idSorter      jobIDSorter
 	// startsBuf and preemptBuf back PumpResult's event slices across Pumps.
 	startsBuf  []StartEvent
 	preemptBuf []PreemptEvent
@@ -534,20 +563,6 @@ type victimRef struct {
 	j  *Job
 }
 
-// candidateSorter orders preemption candidates youngest-episode-first
-// (StartedAt descending, ties by ID ascending) — the same total order the
-// former per-call sort.Slice closure produced.
-type candidateSorter struct{ jobs []*Job }
-
-func (c *candidateSorter) Len() int      { return len(c.jobs) }
-func (c *candidateSorter) Swap(i, k int) { c.jobs[i], c.jobs[k] = c.jobs[k], c.jobs[i] }
-func (c *candidateSorter) Less(i, k int) bool {
-	if c.jobs[i].StartedAt != c.jobs[k].StartedAt {
-		return c.jobs[i].StartedAt > c.jobs[k].StartedAt
-	}
-	return c.jobs[i].ID < c.jobs[k].ID
-}
-
 // New builds a scheduler over the cluster with the given virtual clusters.
 func New(cfg Config, cl *cluster.Cluster, vcs []VC) (*Scheduler, error) {
 	if err := cfg.Validate(); err != nil {
@@ -567,13 +582,11 @@ func New(cfg Config, cl *cluster.Cluster, vcs []VC) (*Scheduler, error) {
 		if _, dup := s.vcs[vc.Name]; dup {
 			return nil, fmt.Errorf("scheduler: duplicate VC %q", vc.Name)
 		}
-		s.vcs[vc.Name] = &vcState{VC: vc, running: map[cluster.JobID]*Job{}}
-		s.vcOrder = append(s.vcOrder, vc.Name)
+		st := &vcState{VC: vc}
+		s.vcs[vc.Name] = st
+		s.vcList = append(s.vcList, st)
 	}
-	sort.Strings(s.vcOrder)
-	for _, name := range s.vcOrder {
-		s.vcList = append(s.vcList, s.vcs[name])
-	}
+	slices.SortFunc(s.vcList, func(a, b *vcState) int { return strings.Compare(a.Name, b.Name) })
 	if cfg.DisableSearchCache {
 		cl.SetSearchCache(false)
 	}
@@ -632,21 +645,7 @@ func (s *Scheduler) QueueLen(name string) int {
 // in StateFinished, keeping whatever queueing statistics it accumulated,
 // and is re-submitted to another member cluster by the caller. The job
 // must currently be queued.
-func (s *Scheduler) Withdraw(id cluster.JobID) error {
-	for _, vc := range s.vcList {
-		for _, q := range vc.queue {
-			if q.ID != id {
-				continue
-			}
-			return s.WithdrawJob(q)
-		}
-	}
-	return fmt.Errorf("scheduler: job %d is not queued; cannot withdraw", id)
-}
-
-// WithdrawJob is Withdraw for callers that already hold the *Job — it skips
-// the all-queues scan (the driver keeps job handles in its arena).
-func (s *Scheduler) WithdrawJob(j *Job) error {
+func (s *Scheduler) Withdraw(j *Job) error {
 	if j == nil || !j.queued || j.State != StateQueued {
 		id := cluster.JobID(-1)
 		if j != nil {
@@ -661,7 +660,11 @@ func (s *Scheduler) WithdrawJob(j *Job) error {
 
 // VCNames returns the VC names in the scheduler's sorted walk order.
 func (s *Scheduler) VCNames() []string {
-	return append([]string(nil), s.vcOrder...)
+	names := make([]string, len(s.vcList))
+	for i, vc := range s.vcList {
+		names[i] = vc.Name
+	}
+	return names
 }
 
 // VCQuota returns the VC's current GPU quota (0 for unknown names).
@@ -722,7 +725,6 @@ func (s *Scheduler) Submit(j *Job, now simulation.Time) error {
 	j.EnqueuedAt = now
 	j.NextAttempt = now
 	j.Attempts = 0
-	j.Episodes++
 	s.enqueue(vc, j)
 	return nil
 }
@@ -736,18 +738,7 @@ func (s *Scheduler) enqueue(vc *vcState, j *Job) {
 }
 
 // Release frees a running job's GPUs (episode finished).
-func (s *Scheduler) Release(id cluster.JobID, now simulation.Time) error {
-	for _, vc := range s.vcList {
-		if j, ok := vc.running[id]; ok {
-			return s.release(vc, j, now)
-		}
-	}
-	return fmt.Errorf("scheduler: job %d is not running", id)
-}
-
-// ReleaseJob is Release for callers that already hold the *Job — it skips
-// the per-VC running-map scans on the episode-finish hot path.
-func (s *Scheduler) ReleaseJob(j *Job, now simulation.Time) error {
+func (s *Scheduler) Release(j *Job, now simulation.Time) error {
 	if j == nil || j.State != StateRunning {
 		id := cluster.JobID(-1)
 		if j != nil {
@@ -765,8 +756,7 @@ func (s *Scheduler) release(vc *vcState, j *Job, now simulation.Time) error {
 	j.PriorAttainedGPUSeconds += float64(now-j.StartedAt) * float64(j.GPUs)
 	j.State = StateFinished
 	j.Placement = cluster.Placement{}
-	vc.used -= j.GPUs
-	delete(vc.running, j.ID)
+	vc.removeRunning(j)
 	return nil
 }
 
@@ -1000,6 +990,7 @@ func (s *Scheduler) tryStart(vc *vcState, j *Job, now simulation.Time, res *Pump
 	}
 	s.dequeue(vc, j.ID)
 	j.State = StateRunning
+	// StartedAt first: it is the running set's sort key.
 	j.StartedAt = now
 	j.Placement = p
 	delay := now - j.EnqueuedAt
@@ -1009,8 +1000,7 @@ func (s *Scheduler) tryStart(vc *vcState, j *Job, now simulation.Time, res *Pump
 		j.FirstQueueDelay = delay
 	}
 	j.OutOfOrderStart = j.OutOfOrderStart || ooo
-	vc.running[j.ID] = j
-	vc.used += j.GPUs
+	vc.addRunning(j)
 
 	s.stats.Starts++
 	if ooo {
@@ -1043,12 +1033,10 @@ func (s *Scheduler) preempt(vc *vcState, victim *Job, now simulation.Time, fairS
 	if err := s.release(vc, victim, now); err != nil {
 		panic(fmt.Sprintf("scheduler: preempting running job failed: %v", err))
 	}
-	victim.Preemptions++
 	victim.State = StateQueued
 	victim.EnqueuedAt = now
 	victim.NextAttempt = now + s.cfg.Backoff
 	victim.Attempts = 0
-	victim.Episodes++
 	s.enqueue(vc, victim)
 	if fairShare {
 		s.stats.FairSharePreemptions++
@@ -1077,25 +1065,17 @@ func (s *Scheduler) fairSharePreempt(now simulation.Time, res *PumpResult) {
 			continue
 		}
 		// Gather victims from over-quota VCs, youngest episodes first
-		// (least progress lost to the checkpoint restore).
+		// (least progress lost to the checkpoint restore): each running
+		// set's tail, walked backwards.
 		victims := s.victimScratch[:0]
 		freed := s.cluster.FreeGPUs()
 		for _, ovc := range s.vcList {
 			if ovc.used <= ovc.Quota {
 				continue
 			}
-			candidates := s.candScratch[:0]
-			for _, r := range ovc.running {
-				candidates = append(candidates, r)
-			}
-			s.candScratch = candidates
-			s.candSorter.jobs = candidates
-			sort.Sort(&s.candSorter)
 			overBy := ovc.used - ovc.Quota
-			for _, c := range candidates {
-				if freed >= entitled.GPUs || overBy <= 0 {
-					break
-				}
+			for i := len(ovc.running) - 1; i >= 0 && freed < entitled.GPUs && overBy > 0; i-- {
+				c := ovc.running[i]
 				victims = append(victims, victimRef{ovc, c})
 				freed += c.GPUs
 				overBy -= c.GPUs
@@ -1143,9 +1123,13 @@ func (s *Scheduler) policyPreempt(now simulation.Time, res *PumpResult) {
 
 // pickVictim selects a running job in the VC to preempt in favor of
 // waiting, per the policy's discipline. Returns nil when no preemption is
-// warranted.
+// warranted. One pass over the running set keeps the eligible job with the
+// largest key, ties to the lowest ID: the most remaining work (SRTF), the
+// most attained service (Tiresias), or the earliest start among jobs past
+// the quantum (Gandiva's longest holder).
 func (s *Scheduler) pickVictim(vc *vcState, waiting *Job, now simulation.Time) *Job {
-	candidates := s.candScratch[:0]
+	var worst *Job
+	var worstKey float64
 	for _, r := range vc.running {
 		if now-r.StartedAt < s.cfg.PreemptMinRun {
 			continue
@@ -1153,73 +1137,53 @@ func (s *Scheduler) pickVictim(vc *vcState, waiting *Job, now simulation.Time) *
 		if r.GPUs < waiting.GPUs {
 			continue // preempting smaller jobs cannot free enough capacity
 		}
-		candidates = append(candidates, r)
+		var key float64
+		switch s.cfg.Policy {
+		case PolicySRTF:
+			key = r.RemainingSeconds
+		case PolicyTiresias:
+			key = r.AttainedGPUSeconds(now)
+		case PolicyGandiva:
+			if now-r.StartedAt < s.cfg.GandivaQuantum {
+				continue
+			}
+			key = -float64(r.StartedAt)
+		default:
+			return nil
+		}
+		if worst == nil || key > worstKey || (key == worstKey && r.ID < worst.ID) {
+			worst, worstKey = r, key
+		}
 	}
-	s.candScratch = candidates
-	if len(candidates) == 0 {
+	if worst == nil {
 		return nil
 	}
-	s.idSorter.jobs = candidates
-	sort.Sort(&s.idSorter)
 	switch s.cfg.Policy {
 	case PolicySRTF:
-		// Preempt the job with the most remaining work, if the waiting job
-		// has strictly less.
-		var worst *Job
-		for _, c := range candidates {
-			if worst == nil || c.RemainingSeconds > worst.RemainingSeconds {
-				worst = c
-			}
-		}
-		if worst != nil && waiting.RemainingSeconds < worst.RemainingSeconds {
+		// Preempt only if the waiting job has strictly less remaining work.
+		if waiting.RemainingSeconds < worstKey {
 			return worst
 		}
 	case PolicyTiresias:
-		// Preempt the job with the most attained service, if the waiting
-		// job has strictly less (LAS).
-		var worst *Job
-		for _, c := range candidates {
-			if worst == nil || c.AttainedGPUSeconds(now) > worst.AttainedGPUSeconds(now) {
-				worst = c
-			}
-		}
-		if worst != nil && waiting.AttainedGPUSeconds(now) < worst.AttainedGPUSeconds(now) {
+		// Preempt only if the waiting job has strictly less attained
+		// service (LAS).
+		if waiting.AttainedGPUSeconds(now) < worstKey {
 			return worst
 		}
 	case PolicyGandiva:
-		// Time-slice: rotate out the job that has held GPUs the longest
-		// past its quantum.
-		var worst *Job
-		for _, c := range candidates {
-			if now-c.StartedAt < s.cfg.GandivaQuantum {
-				continue
-			}
-			if worst == nil || c.StartedAt < worst.StartedAt {
-				worst = c
-			}
-		}
+		// Time-slice: rotate out the job that has held GPUs the longest.
 		return worst
 	}
 	return nil
 }
 
-// jobIDSorter orders jobs by ascending ID. IDs are unique, so the result
-// is the same total order any sort produces.
-type jobIDSorter struct{ jobs []*Job }
-
-func (s *jobIDSorter) Len() int           { return len(s.jobs) }
-func (s *jobIDSorter) Swap(i, k int)      { s.jobs[i], s.jobs[k] = s.jobs[k], s.jobs[i] }
-func (s *jobIDSorter) Less(i, k int) bool { return s.jobs[i].ID < s.jobs[k].ID }
-
-// RunningJobs returns all running jobs, ordered by ID (deterministic).
+// RunningJobs returns all running jobs in VC walk order, each VC's in
+// running order (oldest episode first).
 func (s *Scheduler) RunningJobs() []*Job {
 	var out []*Job
 	for _, vc := range s.vcList {
-		for _, j := range vc.running {
-			out = append(out, j)
-		}
+		out = append(out, vc.running...)
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out
 }
 

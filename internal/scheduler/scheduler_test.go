@@ -315,7 +315,7 @@ func TestReleaseAndRetrySubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Pump(0)
-	if err := s.Release(1, 100); err != nil {
+	if err := s.Release(j, 100); err != nil {
 		t.Fatal(err)
 	}
 	if cl.FreeGPUs() != 32 {
@@ -327,7 +327,7 @@ func TestReleaseAndRetrySubmit(t *testing.T) {
 	if j.PriorAttainedGPUSeconds != 400 {
 		t.Errorf("attained = %v, want 400", j.PriorAttainedGPUSeconds)
 	}
-	if err := s.Release(1, 100); err == nil {
+	if err := s.Release(j, 100); err == nil {
 		t.Error("want error for double release")
 	}
 	// Retry: resubmit same job.
@@ -337,9 +337,6 @@ func TestReleaseAndRetrySubmit(t *testing.T) {
 	res := s.Pump(200)
 	if len(res.Starts) != 1 {
 		t.Fatal("retry did not start")
-	}
-	if j.Episodes != 2 {
-		t.Errorf("episodes = %d, want 2", j.Episodes)
 	}
 	// FirstQueueDelay must reflect only the first episode.
 	if j.FirstQueueDelay != 0 {
@@ -391,8 +388,8 @@ func TestFairSharePreemption(t *testing.T) {
 	if !started {
 		t.Error("entitled job did not start after preemption")
 	}
-	if b2.State != StateQueued || b2.Preemptions != 1 {
-		t.Errorf("victim state = %v preemptions = %d", b2.State, b2.Preemptions)
+	if b2.State != StateQueued {
+		t.Errorf("victim state = %v, want requeued", b2.State)
 	}
 	if s.Stats().FairSharePreemptions == 0 {
 		t.Error("stats missed fair-share preemption")
@@ -443,7 +440,7 @@ func TestSRTFOrdersByRemaining(t *testing.T) {
 	if err := s.Submit(short, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Release(1, 1000); err != nil {
+	if err := s.Release(filler, 1000); err != nil {
 		t.Fatal(err)
 	}
 	res := s.Pump(1000)
@@ -573,7 +570,7 @@ func TestPumpDeterminism(t *testing.T) {
 			}
 			if i%3 == 2 && len(s.RunningJobs()) > 0 {
 				victim := s.RunningJobs()[0]
-				if err := s.Release(victim.ID, now); err != nil {
+				if err := s.Release(victim, now); err != nil {
 					t.Fatal(err)
 				}
 				res = s.Pump(now)

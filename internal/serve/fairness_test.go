@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -141,10 +142,34 @@ func TestLeasesNeverExceedBudget(t *testing.T) {
 			t.Errorf("job %s granted %d workers outside [1, %d]", j.ID, st.Workers, s.Budget())
 		}
 	}
-	if hw := s.Ledger().HighWater(); hw > s.Budget() {
+	snap := s.Snapshot()
+	if hw := snap.LeaseHighWater; hw > s.Budget() {
 		t.Errorf("lease high-water %d exceeded the budget %d", hw, s.Budget())
 	}
-	if leased := s.Ledger().Leased(); leased != 0 {
+	if leased := snap.LeasedWorkers; leased != 0 {
 		t.Errorf("%d workers still leased after all jobs finished", leased)
 	}
+}
+
+// TestBudgetDefaultsToGOMAXPROCS: a non-positive Budget means one worker
+// per GOMAXPROCS slot.
+func TestBudgetDefaultsToGOMAXPROCS(t *testing.T) {
+	s := New(Config{})
+	defer s.Close()
+	if got, want := s.Budget(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Budget() = %d, want GOMAXPROCS %d", got, want)
+	}
+}
+
+// TestLeaseOverReleasePanics pins the over-release guard: returning more
+// workers than a tenant holds is a caller bug, and clamping it would let a
+// double release inflate the budget.
+func TestLeaseOverReleasePanics(t *testing.T) {
+	ten := &tenantState{name: "t", runningWorkers: 1, runningJobs: 1}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing 2 workers with 1 leased did not panic")
+		}
+	}()
+	ten.releaseLocked(2)
 }

@@ -52,12 +52,12 @@ func TestCancelRacingDispatch(t *testing.T) {
 	}
 	// The refused-start path releases its lease after the job is already
 	// terminal, so poll briefly rather than reading Leased once.
-	for end := time.Now().Add(10 * time.Second); s.Ledger().Leased() != 0; time.Sleep(time.Millisecond) {
+	for end := time.Now().Add(10 * time.Second); s.Snapshot().LeasedWorkers != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(end) {
-			t.Fatalf("%d workers still leased after every job finished", s.Ledger().Leased())
+			t.Fatalf("%d workers still leased after every job finished", s.Snapshot().LeasedWorkers)
 		}
 	}
-	if hw := s.Ledger().HighWater(); hw > s.Budget() {
+	if hw := s.Snapshot().LeaseHighWater; hw > s.Budget() {
 		t.Errorf("lease high-water %d exceeded the budget %d", hw, s.Budget())
 	}
 }

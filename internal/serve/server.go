@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
-	"philly/internal/par"
 	"philly/internal/stats"
 	"philly/internal/sweep"
 )
@@ -15,8 +15,8 @@ import (
 // Config parameterizes a Server.
 type Config struct {
 	// Budget is the total worker budget shared by every running study;
-	// <= 0 means GOMAXPROCS. The admission ledger guarantees the summed
-	// worker leases of in-flight studies never exceed it.
+	// <= 0 means GOMAXPROCS. Admission guarantees the summed worker leases
+	// of in-flight studies never exceed it.
 	Budget int
 	// QueueDepth bounds each tenant's queued (not yet running) studies;
 	// a submit past the bound is rejected with 429 + Retry-After. <= 0
@@ -63,8 +63,9 @@ type tenantState struct {
 	name   string
 	weight int
 	queue  []*Job
-	// runningWorkers is the tenant's currently leased worker count;
-	// runningJobs its in-flight study count.
+	// runningWorkers is the tenant's currently leased worker count — the
+	// one home of the lease count: the server's leased total is the sum
+	// over tenants. runningJobs is its in-flight study count.
 	runningWorkers int
 	runningJobs    int
 	// granted accumulates worker-grants forever; the dispatcher picks the
@@ -75,11 +76,24 @@ type tenantState struct {
 	admitted, rejected, completed int64
 }
 
+// releaseLocked returns a finished or refused study's lease; callers hold
+// Server.mu. Releasing more than the tenant holds is a caller bug and
+// panics: silently clamping would let a double release inflate the budget
+// and break the admission bound.
+func (t *tenantState) releaseLocked(workers int) {
+	if workers > t.runningWorkers {
+		panic(fmt.Sprintf("serve: tenant %q releases %d workers with only %d leased",
+			t.name, workers, t.runningWorkers))
+	}
+	t.runningWorkers -= workers
+	t.runningJobs--
+}
+
 // Server schedules submitted studies onto one shared worker budget with
 // per-tenant weighted fairness, and memoizes completed results.
 type Server struct {
 	cfg    Config
-	ledger *par.Ledger
+	budget int // Config.Budget resolved; fixed for the server's life
 	cache  *resultCache
 
 	mu       sync.Mutex
@@ -90,6 +104,9 @@ type Server struct {
 	accepted int      // all accepted submits ever (monotone; jobs may age out of the map)
 	doneLog  []string // terminal job IDs in retirement order, oldest first
 	grantLog []string // job IDs in grant order — the fairness tests' witness
+	// leaseHighWater is the largest leased total at any grant — the
+	// white-box witness that admission never oversubscribed the budget.
+	leaseHighWater int
 
 	kick chan struct{}
 	quit chan struct{}
@@ -117,9 +134,13 @@ func newServer(cfg Config, hold <-chan struct{}) *Server {
 	if entries == 0 {
 		entries = 256
 	}
+	budget := cfg.Budget
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
 	s := &Server{
 		cfg:     cfg,
-		ledger:  par.NewLedger(cfg.Budget),
+		budget:  budget,
 		cache:   newResultCache(entries),
 		tenants: map[string]*tenantState{},
 		jobs:    map[string]*Job{},
@@ -132,11 +153,7 @@ func newServer(cfg Config, hold <-chan struct{}) *Server {
 }
 
 // Budget returns the shared worker budget.
-func (s *Server) Budget() int { return s.ledger.Size() }
-
-// Ledger exposes the admission ledger (white-box accounting for tests
-// and /v1/stats).
-func (s *Server) Ledger() *par.Ledger { return s.ledger }
+func (s *Server) Budget() int { return s.budget }
 
 // tenant returns (creating if needed) the tenant's state; callers hold mu.
 func (s *Server) tenantLocked(name string) *tenantState {
@@ -293,7 +310,7 @@ func (s *Server) kickDispatch() {
 }
 
 // dispatch is the scheduling loop: on every kick (submit or completion)
-// it starts as many queued studies as fairness and the ledger allow.
+// it starts as many queued studies as fairness and the budget allow.
 func (s *Server) dispatch(hold <-chan struct{}) {
 	defer s.wg.Done()
 	if hold != nil {
@@ -330,9 +347,11 @@ func (s *Server) startNext() bool {
 	s.mu.Lock()
 
 	active := make([]*tenantState, 0, len(s.tenants))
+	leased := 0
 	for _, t := range s.tenants {
 		if len(t.queue) > 0 || t.runningWorkers > 0 {
 			active = append(active, t)
+			leased += t.runningWorkers
 		}
 	}
 	sort.Slice(active, func(a, b int) bool { return active[a].name < active[b].name })
@@ -340,7 +359,7 @@ func (s *Server) startNext() bool {
 	for i, t := range active {
 		weights[i] = t.weight
 	}
-	quotas := stats.LargestRemainder(s.ledger.Size(), weights)
+	quotas := stats.LargestRemainder(s.budget, weights)
 
 	// better reports whether a should be granted before b under weighted
 	// round-robin.
@@ -370,7 +389,7 @@ func (s *Server) startNext() bool {
 			if underQuota && t.runningWorkers+w > limit {
 				continue
 			}
-			if s.ledger.Leased()+w > s.ledger.Size() {
+			if leased+w > s.budget {
 				continue
 			}
 			if bestT == nil || better(t, bestT) {
@@ -392,15 +411,10 @@ func (s *Server) startNext() bool {
 		return false
 	}
 	w := s.jobWorkersLocked(j)
-	if !s.ledger.TryAcquire(w) {
-		// Raced with nothing (mu serializes grants), but keep the ledger
-		// as the single source of truth anyway.
-		s.mu.Unlock()
-		return false
-	}
 	t.queue = t.queue[1:]
 	t.runningWorkers += w
 	t.runningJobs++
+	s.leaseHighWater = max(s.leaseHighWater, leased+w)
 	t.granted += int64(w)
 	s.grantLog = append(s.grantLog, j.ID)
 	s.wg.Add(1)
@@ -412,10 +426,8 @@ func (s *Server) startNext() bool {
 		// setRunning must never resurrect a terminal job, or its
 		// finished channel would close twice when the sweep returned.
 		s.mu.Lock()
-		t.runningWorkers -= w
-		t.runningJobs--
+		t.releaseLocked(w)
 		s.mu.Unlock()
-		s.ledger.Release(w)
 		s.wg.Done()
 		s.retire(j)
 		return true
@@ -430,10 +442,7 @@ func (s *Server) jobWorkersLocked(j *Job) int {
 	if w <= 0 {
 		w = 1
 	}
-	if w > s.ledger.Size() {
-		w = s.ledger.Size()
-	}
-	return w
+	return min(w, s.budget)
 }
 
 // run executes one admitted study on its leased workers and finishes it.
@@ -442,11 +451,9 @@ func (s *Server) run(j *Job, t *tenantState, workers int) {
 	res, export, err := runResolved(j.Spec, workers, j.cancel, j.setProgress)
 
 	s.mu.Lock()
-	t.runningWorkers -= workers
-	t.runningJobs--
+	t.releaseLocked(workers)
 	t.completed++
 	s.mu.Unlock()
-	s.ledger.Release(workers)
 
 	switch {
 	case err == nil:
@@ -517,19 +524,19 @@ type Stats struct {
 func (s *Server) Snapshot() Stats {
 	entries, hits, misses := s.cache.stats()
 	st := Stats{
-		Budget:         s.ledger.Size(),
-		LeasedWorkers:  s.ledger.Leased(),
-		LeaseHighWater: s.ledger.HighWater(),
-		QueueDepth:     s.cfg.QueueDepth,
-		CacheEntries:   entries,
-		CacheHits:      hits,
-		CacheMisses:    misses,
-		Tenants:        map[string]TenantStats{},
-		JobsByState:    map[JobState]int{},
+		Budget:       s.budget,
+		QueueDepth:   s.cfg.QueueDepth,
+		CacheEntries: entries,
+		CacheHits:    hits,
+		CacheMisses:  misses,
+		Tenants:      map[string]TenantStats{},
+		JobsByState:  map[JobState]int{},
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	st.LeaseHighWater = s.leaseHighWater
 	for name, t := range s.tenants {
+		st.LeasedWorkers += t.runningWorkers
 		st.Tenants[name] = TenantStats{
 			Weight:         t.weight,
 			Queued:         len(t.queue),

@@ -215,23 +215,6 @@ func (e *Engine) Run(horizon Time) uint64 {
 	return e.processed - start
 }
 
-// RunUntilIdle executes events until the queue is empty, with no horizon.
-// maxEvents guards against runaway self-scheduling loops; it returns an
-// error if the budget is exhausted.
-func (e *Engine) RunUntilIdle(maxEvents uint64) error {
-	e.stopped = false
-	for n := uint64(0); len(e.queue) > 0 && !e.stopped; n++ {
-		if n >= maxEvents {
-			return fmt.Errorf("simulation: exceeded %d events without draining (possible self-scheduling loop)", maxEvents)
-		}
-		next := e.queue.pop()
-		e.now = next.at
-		next.fn()
-		e.processed++
-	}
-	return nil
-}
-
 // Ticker invokes fn every interval seconds, starting at start, until fn
 // returns false or the engine stops. It is used for telemetry sampling and
 // scheduler retry sweeps.

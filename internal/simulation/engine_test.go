@@ -154,26 +154,6 @@ func TestSelfScheduling(t *testing.T) {
 	}
 }
 
-func TestRunUntilIdleBudget(t *testing.T) {
-	e := NewEngine()
-	var loop func()
-	loop = func() { e.After(1, loop) }
-	e.At(0, loop)
-	if err := e.RunUntilIdle(100); err == nil {
-		t.Error("want budget-exhausted error for infinite loop")
-	}
-
-	e2 := NewEngine()
-	n := 0
-	e2.At(5, func() { n++ })
-	if err := e2.RunUntilIdle(100); err != nil {
-		t.Errorf("unexpected error: %v", err)
-	}
-	if n != 1 {
-		t.Errorf("n = %d, want 1", n)
-	}
-}
-
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var at []Time

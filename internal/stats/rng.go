@@ -105,12 +105,6 @@ func (g *RNG) NormFloat64() float64 { return g.rnd.NormFloat64() }
 // Bool returns true with probability p.
 func (g *RNG) Bool(p float64) bool { return g.rnd.Float64() < p }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.rnd.Perm(n) }
-
-// Shuffle permutes a slice in place using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.rnd.Shuffle(n, swap) }
-
 // Exponential samples Exp(rate); the mean of the distribution is 1/rate.
 // It panics if rate <= 0.
 func (g *RNG) Exponential(rate float64) float64 {
