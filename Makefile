@@ -85,12 +85,13 @@ OUT ?= bench.json
 bench-json:
 	$(GO) test -json -run '^$$' -bench '$(BENCH)' -benchmem -count $(COUNT) . > $(OUT)
 
-# bench-mem runs just the memory-regression gate benchmark: a federated
+# bench-mem runs the memory benchmarks: the regression gate, a federated
 # sweep reporting peak_rss_mb (VmHWM, linux) and allocs_total alongside the
-# usual -benchmem numbers. Those two metrics are gated higher-is-worse by
-# `make bench-compare THRESHOLD=...` when both baselines carry them.
+# usual -benchmem numbers (those two metrics are gated higher-is-worse by
+# `make bench-compare THRESHOLD=...` when both baselines carry them), then
+# one medium study's trace export, whose B/op is what the export allocates.
 bench-mem:
-	$(GO) test -bench FederatedSweepMemory -benchmem -run '^$$' .
+	$(GO) test -bench 'FederatedSweepMemory|TraceExport' -benchmem -run '^$$' .
 
 # perfbench vets and tests the benchmark module (perfbench/, a Go module of
 # its own that the root ./... does not descend into). It compiles against

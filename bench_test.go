@@ -12,6 +12,7 @@ package philly_test
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strconv"
@@ -716,4 +717,32 @@ func BenchmarkSchedulerPumpChurn(b *testing.B) {
 	b.ReportMetric(float64(st.PlacementSearches)/float64(b.N), "searches/op")
 	b.ReportMetric(float64(st.CacheShortCircuits)/float64(b.N), "cachehits/op")
 	b.ReportMetric(float64(st.SpeculativeCommits)/float64(b.N), "speccommits/op")
+}
+
+// BenchmarkTraceExport is one study's export as philly-sim writes it —
+// the trace tables, the jobs CSV and the trace JSON — into io.Discard,
+// over a medium seed-3 study simulated once outside the timer. Its B/op is
+// what the export allocates: about the trace tables themselves, since
+// FromStudy sizes them once and WriteJSON streams one record at a time. It
+// sits after BenchmarkFederatedSweepMemory so that benchmark's peak_rss_mb
+// is read before this one's study runs.
+func BenchmarkTraceExport(b *testing.B) {
+	res := cachedStudy(b, "medium-3", func() philly.Config {
+		cfg := philly.MediumConfig()
+		cfg.Seed = 3
+		return cfg
+	})
+	var tr *philly.Trace
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr = philly.NewTrace(res)
+		if err := tr.WriteJobsCSV(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+		if err := tr.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(tr.Jobs)), "jobsExported")
+	b.ReportMetric(float64(len(tr.Attempts)), "attemptsExported")
 }

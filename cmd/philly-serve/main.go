@@ -31,7 +31,8 @@
 // Replay specs may only name relative paths inside -trace-dir (the
 // working directory by default); absolute paths and ".." escapes are
 // rejected. Terminal jobs stay addressable for -retain-jobs fetches
-// before their IDs age out.
+// before their IDs age out. A study that panics fails only its own job
+// ("study panicked: ..."); the stack is logged to stderr with the job ID.
 //
 // Results are bit-deterministic in the fully-resolved spec, so a cache
 // hit is byte-identical to a fresh run — see serve.CanonicalHash.

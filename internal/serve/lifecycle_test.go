@@ -1,8 +1,15 @@
 package serve
 
 import (
+	"bytes"
+	"log"
+	"os"
+	"strings"
 	"testing"
 	"time"
+
+	"philly/internal/par"
+	"philly/internal/sweep"
 )
 
 // TestSetRunningRespectsTerminal pins the dequeue-to-start race fix: a
@@ -93,5 +100,60 @@ func TestTerminalJobRetention(t *testing.T) {
 	}
 	if got := s.Snapshot().AcceptedStudies; got != 3 {
 		t.Errorf("accepted studies = %d, want the monotone count 3 despite eviction", got)
+	}
+}
+
+// TestPanickingStudyFailsOnlyItsJob: a study that panics inside a pool
+// shard fails its own job with the panic's value, gives its lease back and
+// logs the shard's stack under the job's ID; the server keeps serving.
+func TestPanickingStudyFailsOnlyItsJob(t *testing.T) {
+	const panicSeed = 4242
+	runStudy = func(r Resolved, workers int, cancel <-chan struct{}, progress func(done, total int)) (*sweep.Result, []byte, error) {
+		if r.Seed == panicSeed {
+			pool := par.NewPool(2)
+			defer pool.Close()
+			pool.ForkJoin(2, func(shard int) {
+				if shard == 1 {
+					panic("shard boom")
+				}
+			})
+		}
+		return runResolved(r, workers, cancel, progress)
+	}
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	t.Cleanup(func() {
+		runStudy = runResolved
+		log.SetOutput(os.Stderr)
+	})
+
+	s := New(Config{Budget: 2})
+	defer s.Close()
+	bad, err := s.Submit("tenant", tinySpec(panicSeed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitFinished(t, bad)
+	if st.State != StateFailed || st.Error != "study panicked: shard boom" {
+		t.Fatalf("panicking job ended %s with %q, want failed with %q",
+			st.State, st.Error, "study panicked: shard boom")
+	}
+	// The shard's own frame (the closure passed to ForkJoin) is only in
+	// the stack ForkJoin captured, not in one taken after the re-panic.
+	if out := logged.String(); !strings.Contains(out, "job "+bad.ID+": study panicked: shard boom") ||
+		!strings.Contains(out, "TestPanickingStudyFailsOnlyItsJob.func1.1(") {
+		t.Errorf("log lacks the job ID, the panic or the shard's stack:\n%s", out)
+	}
+	for end := time.Now().Add(10 * time.Second); s.Snapshot().LeasedWorkers != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("%d workers still leased after the panicking job failed", s.Snapshot().LeasedWorkers)
+		}
+	}
+	good, err := s.Submit("tenant", tinySpec(panicSeed+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitFinished(t, good); st.State != StateDone {
+		t.Fatalf("job after the panic ended %s (%s), want done", st.State, st.Error)
 	}
 }

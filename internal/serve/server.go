@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 
+	"philly/internal/par"
 	"philly/internal/stats"
 	"philly/internal/sweep"
 )
@@ -448,7 +451,7 @@ func (s *Server) jobWorkersLocked(j *Job) int {
 // run executes one admitted study on its leased workers and finishes it.
 func (s *Server) run(j *Job, t *tenantState, workers int) {
 	defer s.wg.Done()
-	res, export, err := runResolved(j.Spec, workers, j.cancel, j.setProgress)
+	res, export, err := simulate(j, workers)
 
 	s.mu.Lock()
 	t.releaseLocked(workers)
@@ -466,6 +469,31 @@ func (s *Server) run(j *Job, t *tenantState, workers int) {
 	}
 	s.retire(j)
 	s.kickDispatch()
+}
+
+// runStudy is what simulate runs: runResolved, replaced only by tests
+// that need a study to panic.
+var runStudy = runResolved
+
+// simulate runs j's study and turns a panic in it into the job's error,
+// so a bug in one study fails that job and the server keeps serving. A
+// panic in a pool shard reaches here as the *par.ShardPanic ForkJoin
+// re-raises on its caller; its Value names the panic and its Stack is the
+// shard's. The stack goes to the log, not into the job's error.
+func simulate(j *Job, workers int) (res *sweep.Result, export []byte, err error) {
+	defer func() {
+		v := recover()
+		if v == nil {
+			return
+		}
+		stack := debug.Stack()
+		if sp, ok := v.(*par.ShardPanic); ok {
+			v, stack = sp.Value, sp.Stack
+		}
+		log.Printf("serve: job %s: study panicked: %v\n%s", j.ID, v, stack)
+		res, export, err = nil, nil, fmt.Errorf("study panicked: %v", v)
+	}()
+	return runStudy(j.Spec, workers, j.cancel, j.setProgress)
 }
 
 // runResolved builds and runs the matrix for a resolved spec, returning

@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -71,11 +72,28 @@ type Trace struct {
 // appears as a re-ID'd injected copy on the receiving member, and exporting
 // both would double-count it (the same shell/copy pair the study fold,
 // analysis.StreamReducer, counts once).
+//
+// A first pass counts the exported jobs and attempts, so each table is
+// allocated once at its final size instead of grown by append. A table
+// with no records stays nil, which WriteJSON writes as null.
 func FromStudy(res *core.StudyResult) *Trace {
+	var nJobs, nAttempts int
+	for i := range res.Jobs {
+		if j := &res.Jobs[i]; exported(j) {
+			nJobs++
+			nAttempts += len(j.Attempts)
+		}
+	}
 	t := &Trace{}
+	if nJobs > 0 {
+		t.Jobs = make([]JobRecord, 0, nJobs)
+	}
+	if nAttempts > 0 {
+		t.Attempts = make([]AttemptRecord, 0, nAttempts)
+	}
 	for i := range res.Jobs {
 		j := &res.Jobs[i]
-		if !j.Completed || j.Offloaded {
+		if !exported(j) {
 			continue
 		}
 		rec := JobRecord{
@@ -116,6 +134,9 @@ func FromStudy(res *core.StudyResult) *Trace {
 	}
 	return t
 }
+
+// exported reports whether FromStudy writes j's records.
+func exported(j *core.JobResult) bool { return j.Completed && !j.Offloaded }
 
 var jobHeader = []string{
 	"jobid", "vc", "user", "num_gpus", "submitted_time", "started_time",
@@ -228,13 +249,76 @@ func parseJobRow(row []string) (JobRecord, error) {
 	return rec, nil
 }
 
-// WriteJSON writes the full trace (jobs + attempts) as JSON.
+// jsonChunk is the size at which WriteJSON hands its buffer to w: the
+// largest single write is one chunk plus one record.
+const jsonChunk = 64 << 10
+
+// WriteJSON writes the full trace (jobs + attempts) as JSON, byte for byte
+// what a json.Encoder with SetIndent("", " ") writes for t: a nil table is
+// null, an empty one []. It streams: the outer structure is written here,
+// and each record is formatted by json.Marshal and re-indented at depth 2
+// (json.Indent with prefix "  ", indent " ", which is exactly what
+// indenting the whole document does to a record there) into one reused
+// buffer that goes to w in chunks of about jsonChunk. So WriteJSON holds
+// one chunk and one record at a time, never the document.
+//
+// A record json.Marshal refuses (a NaN or infinite float) returns an error
+// prefixed "trace: encode json:", and an error from w is returned too; the
+// output written before either error is an incomplete document.
 func (t *Trace) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(t); err != nil {
-		return fmt.Errorf("trace: encode json: %w", err)
+	var buf bytes.Buffer
+	buf.WriteString("{\n \"jobs\": ")
+	if err := writeTable(w, &buf, t.Jobs); err != nil {
+		return err
 	}
+	buf.WriteString(",\n \"attempts\": ")
+	if err := writeTable(w, &buf, t.Attempts); err != nil {
+		return err
+	}
+	buf.WriteString("\n}\n")
+	return flushJSON(w, &buf)
+}
+
+// writeTable appends one of the trace's arrays to buf as the encoder
+// writes it at depth 1 — records on their own lines, two spaces in,
+// separated by ",\n" — handing buf to w whenever it reaches jsonChunk.
+func writeTable[R JobRecord | AttemptRecord](w io.Writer, buf *bytes.Buffer, recs []R) error {
+	if recs == nil {
+		buf.WriteString("null")
+		return nil
+	}
+	if len(recs) == 0 {
+		buf.WriteString("[]")
+		return nil
+	}
+	buf.WriteString("[\n")
+	for i := range recs {
+		b, err := json.Marshal(&recs[i])
+		if err != nil {
+			return fmt.Errorf("trace: encode json: %w", err)
+		}
+		if i > 0 {
+			buf.WriteString(",\n")
+		}
+		buf.WriteString("  ")
+		if err := json.Indent(buf, b, "  ", " "); err != nil {
+			return fmt.Errorf("trace: encode json: %w", err)
+		}
+		if buf.Len() >= jsonChunk {
+			if err := flushJSON(w, buf); err != nil {
+				return err
+			}
+		}
+	}
+	buf.WriteString("\n ]")
+	return nil
+}
+
+func flushJSON(w io.Writer, buf *bytes.Buffer) error {
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return fmt.Errorf("trace: write json: %w", err)
+	}
+	buf.Reset()
 	return nil
 }
 
