@@ -5,14 +5,13 @@ GOFMT ?= gofmt
 
 # check is the CI gate: vet (with the gofmt gate), build everything, then
 # the full test suite under the race detector — which covers the
-# intra-study fork-joins (speculative placement, Fleet windows) end to
-# end, including TestWorkerCountInvariance (full-precision StudyResult
-# equality across intra-study worker counts 1/2/4/8, per-VC sharding and
-# the sequential engine) — a one-iteration benchmark smoke so the bench
-# path itself cannot rot, a philly-load self-test against an in-process
-# philly-serve so the service path cannot either, a run of every study
-# CLI binary and its usage errors, and the benchmark module's own vet and
-# tests.
+# intra-study fork-join (Fleet windows) end to end, including
+# TestWorkerCountInvariance (full-precision StudyResult equality between
+# the sequential engine and per-VC sharding at workers 1 and 4) — a
+# one-iteration benchmark smoke so the bench path itself cannot rot, a
+# philly-load self-test against an in-process philly-serve so the service
+# path cannot either, a run of every study CLI binary and its usage
+# errors, and the benchmark module's own vet and tests.
 check: vet build race bench-smoke serve-smoke cli-smoke perfbench
 
 # vet also fails when gofmt would rewrite a tracked Go file. The list

@@ -508,8 +508,8 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 // BenchmarkStudyParallel is the intra-study scaling curve: ONE study —
 // paper-scale cluster (~2050 GPUs, 288 servers), minute telemetry — at
 // increasing intra-study worker counts. The telemetry walk is sequential
-// on every leg; what the workers share is speculative placement and, on
-// the per-VC sharded event engine, the window lanes.
+// on every leg; what the workers share is the per-VC sharded event
+// engine's window lanes.
 // TestWorkerCountInvariance separately pins the StudyResult bit-identical
 // across all of these worker counts, so this benchmark is purely a
 // wall-clock trajectory. workers=1 is the inline path on the sequential
@@ -623,8 +623,7 @@ func BenchmarkFederatedSweepMemory(b *testing.B) {
 // storm of Jeon et al. §2.3 that dominates Pump time at scale). A light
 // allocate/release churn every few pumps dirties the free state so the
 // steady state is a mix of unchanged-epoch retries and genuine placements —
-// the scenario the rack-epoch feasibility cache and speculative placement
-// target.
+// the scenario the rack-epoch feasibility cache targets.
 func BenchmarkSchedulerPumpChurn(b *testing.B) {
 	cl, err := cluster.New(cluster.DefaultConfig())
 	if err != nil {
@@ -716,7 +715,6 @@ func BenchmarkSchedulerPumpChurn(b *testing.B) {
 	b.ReportMetric(float64(st.BlockedAttempts)/float64(b.N), "blocked/op")
 	b.ReportMetric(float64(st.PlacementSearches)/float64(b.N), "searches/op")
 	b.ReportMetric(float64(st.CacheShortCircuits)/float64(b.N), "cachehits/op")
-	b.ReportMetric(float64(st.SpeculativeCommits)/float64(b.N), "speccommits/op")
 }
 
 // BenchmarkTraceExport is one study's export as philly-sim writes it —

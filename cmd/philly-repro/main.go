@@ -22,12 +22,11 @@
 //
 // -workers (default 0: all cores) is one shared parallelism budget. A
 // single run spends it *within* the study: with more than one worker the
-// event loop shards per virtual cluster, and its windows and speculative
-// placement fan out across the workers. The multi-run path hands it to the
-// sweep harness, which spends it *across* studies first and lets idle
-// workers accelerate the stragglers — the two layers draw from the same
-// pool and never oversubscribe. Results are bit-identical for any worker
-// count.
+// event loop shards per virtual cluster, and its windows fan out across
+// the workers. The multi-run path hands it to the sweep harness, which
+// spends it *across* studies and federated studies' fleet windows — the
+// two layers draw from the same pool and never oversubscribe. Results are
+// bit-identical for any worker count.
 //
 // -federation runs a multi-cluster study instead of a single cluster: SPEC
 // is a "+"-separated member preset list (e.g. "philly-small+helios-like"),

@@ -24,11 +24,11 @@
 //
 // -workers is the study's worker budget (default 0: all cores). With more
 // than one worker the event loop shards per virtual cluster — one lane per
-// VC, advanced in deterministic virtual-time windows — and the windows and
-// speculative placement searches fan out across the workers. Output is
-// bit-identical for any worker count; only wall-clock changes. To sweep
-// many studies instead, use philly-sweep, whose -workers flag is the same
-// budget spent across studies first.
+// VC, advanced in deterministic virtual-time windows — and the windows
+// fan out across the workers. Output is bit-identical for any worker
+// count; only wall-clock changes. To sweep many studies instead, use
+// philly-sweep, whose -workers flag is the same budget spent across
+// studies first.
 //
 // -federation runs a multi-cluster study instead: SPEC is a "+"-separated
 // list of member presets (e.g. "philly-small+helios-like"; see philly-sim
@@ -146,9 +146,8 @@ func main() {
 
 	fmt.Printf("simulated %d jobs on %d GPUs in %v (simulated %v)\n",
 		len(res.Jobs), res.TotalGPUs, time.Since(start).Round(time.Millisecond), res.SimEnd)
-	fmt.Printf("scheduler: %d placement search(es), %d cache short-circuit(s), %d speculative commit(s), %d conflict(s)\n",
-		res.Sched.PlacementSearches, res.Sched.CacheShortCircuits,
-		res.Sched.SpeculativeCommits, res.Sched.SpeculativeConflicts)
+	fmt.Printf("scheduler: %d placement search(es), %d cache short-circuit(s)\n",
+		res.Sched.PlacementSearches, res.Sched.CacheShortCircuits)
 	if o := res.Outages; o.Events > 0 {
 		fmt.Printf("outages: %d event(s) (%d maintenance), %d attempt(s) killed, %.1f GPU-h down, %.1f GPU-h lost, %.1f GPU-h ckpt overhead, ETTF %.1fh, ETTR %.2fh\n",
 			o.Events, o.MaintenanceEvents, o.KilledAttempts,
@@ -183,10 +182,9 @@ func runFederation(cfg philly.FederationConfig, workers int, out string) error {
 		if err := writeFile(filepath.Join(dir, "trace.json"), tr.WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("member %-16s %d jobs on %d GPUs (simulated %v, %d search(es), %d cached, %d speculative) -> %s\n",
+		fmt.Printf("member %-16s %d jobs on %d GPUs (simulated %v, %d search(es), %d cached) -> %s\n",
 			m.Name, len(m.Result.Jobs), m.Result.TotalGPUs, m.Result.SimEnd,
-			m.Result.Sched.PlacementSearches, m.Result.Sched.CacheShortCircuits,
-			m.Result.Sched.SpeculativeCommits, dir)
+			m.Result.Sched.PlacementSearches, m.Result.Sched.CacheShortCircuits, dir)
 	}
 	fmt.Printf("fleet: %d spillover move(s) over %d check(s), %d quota change(s) over %d rebalance tick(s), wall %v\n",
 		res.Fleet.SpilloverMoves, res.Fleet.SpilloverChecks,

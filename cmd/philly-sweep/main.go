@@ -18,14 +18,14 @@
 // telemetry streams only from (run seed, entity id).
 //
 // -workers (default 0: all cores) is one shared budget for both
-// parallelism layers, the studies and each study's intra-study fork-joins
-// (speculative placement, federated studies' fleet windows); never more
-// than -workers tasks run at once. Today the studies themselves run one
-// at a time: the pool's one-shot offer of study units misses on the pool
-// built a moment earlier, so only the intra-study fork-joins reach the
-// other workers (ROADMAP item 1). A sweep never shards a study's event
-// loop per virtual cluster; philly-sim/-repro's -workers is the same
-// budget spent entirely within one study, which does.
+// parallelism layers, the studies and federated studies' fleet windows;
+// never more than -workers tasks run at once. Today the studies
+// themselves run one at a time: the pool's one-shot offer of study units
+// misses on the pool built a moment earlier, so only federated studies'
+// fleet windows reach the other workers, and a plain sweep's other
+// workers get no work (ROADMAP item 1). A sweep never shards a study's
+// event loop per virtual cluster; philly-sim/-repro's -workers is the
+// same budget spent entirely within one study, which does.
 //
 // -o json emits the machine-readable sweep.Result export (format_version 1:
 // per-replica metrics, per-metric aggregates, and each scenario's applied

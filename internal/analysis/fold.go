@@ -56,12 +56,10 @@ type Tally struct {
 	// Preemptions sums fair-share and policy preemptions; Migrations
 	// counts defragmentation moves.
 	Preemptions, Migrations int
-	// Placement-search telemetry of one study's scheduler: searches,
-	// negative-result cache short-circuits, speculative commits and
-	// conflicts. Engine counters, not workload metrics: a fleet tally
-	// leaves them 0.
-	PlacementSearches, CacheShortCircuits    int
-	SpeculativeCommits, SpeculativeConflicts int
+	// Placement-search telemetry of one study's scheduler: searches and
+	// negative-result cache short-circuits. Engine counters, not workload
+	// metrics: a fleet tally leaves them 0.
+	PlacementSearches, CacheShortCircuits int
 	// ImbalancePct is the cross-member utilization spread (max member mean
 	// util minus min, percentage points); set by CombineFleet only.
 	ImbalancePct float64
@@ -189,8 +187,6 @@ func (r *StreamReducer) Finish(res *core.StudyResult) Tally {
 	t.Migrations = res.Sched.Migrations
 	t.PlacementSearches = res.Sched.PlacementSearches
 	t.CacheShortCircuits = res.Sched.CacheShortCircuits
-	t.SpeculativeCommits = res.Sched.SpeculativeCommits
-	t.SpeculativeConflicts = res.Sched.SpeculativeConflicts
 	t.summarize()
 	return t
 }

@@ -161,9 +161,6 @@ type Rack struct {
 	epoch uint64
 }
 
-// Epoch returns the rack's free-state epoch.
-func (r *Rack) Epoch() uint64 { return r.epoch }
-
 // FreeGPUs returns the total free GPUs in the rack.
 func (r *Rack) FreeGPUs() int { return r.free }
 
@@ -222,10 +219,11 @@ type Cluster struct {
 	srvUsed []int32
 	srvCap  []int32
 
-	// inline is the cluster's own search scratch (pick buffer + rack-order
-	// buffer). Read-only speculative searches use private Searcher contexts
-	// instead so they can run concurrently (see placement.go).
-	inline searchCtx
+	// picks and rackScratch are the placement search's reused scratch: the
+	// candidate (server, take) picks and the rack visit order (see
+	// placement.go).
+	picks       []pick
+	rackScratch []*Rack
 
 	// epoch is the cluster-wide free-state epoch; cacheOn, failCache and
 	// the search counters implement the rack-epoch negative-result cache
@@ -248,7 +246,6 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: no racks configured")
 	}
 	c := &Cluster{placements: make(map[JobID]Placement), cacheOn: true}
-	c.inline.c = c
 	serverID := 0
 	for rackID, rc := range cfg.Racks {
 		if rc.Servers <= 0 {

@@ -38,11 +38,6 @@ type failMemo struct {
 	racks  []uint64
 }
 
-// Epoch returns the cluster-wide free-state epoch: a monotonic counter that
-// advances whenever any server's free-GPU count changes. Equal epochs imply
-// byte-identical free state.
-func (c *Cluster) Epoch() uint64 { return c.epoch }
-
 // SetSearchCache enables or disables the negative-result cache (enabled by
 // default). Results are bit-identical either way; disabling exists for the
 // differential oracle tests and A/B benchmarks.
@@ -58,32 +53,6 @@ func (c *Cluster) SetSearchCache(on bool) {
 // functions of the allocate/release/search sequence.
 func (c *Cluster) SearchStats() (searches, shortCircuits int) {
 	return c.searches, c.shortCircuits
-}
-
-// KnownInfeasible reports whether a (n, level) search is guaranteed to fail
-// against the current free state without running it: either trivially
-// (n > freeGPUs) or by a memoized failure whose epochs still hold. Used by
-// the scheduler to skip doomed speculative searches; it does not count as a
-// search or a short-circuit.
-func (c *Cluster) KnownInfeasible(n int, level Locality) bool {
-	if n <= 0 || n > c.freeGPUs {
-		return true
-	}
-	if !c.cacheOn || level == LocalityRelaxed {
-		return false
-	}
-	return c.knownInfeasible(n, level)
-}
-
-// CommitSpeculative folds a speculative search's outcome into the cluster's
-// books exactly as if Cluster.FindPlacement had run it inline: it counts
-// one search and memoizes a failure. The caller must have validated that
-// the epoch is unchanged since the speculative search ran.
-func (c *Cluster) CommitSpeculative(n int, level Locality, ok bool) {
-	c.searches++
-	if !ok {
-		c.memoizeFailure(n, level)
-	}
 }
 
 // knownInfeasible is the memo lookup + revalidation. Caller guarantees

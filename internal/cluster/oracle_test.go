@@ -120,12 +120,11 @@ func refMaterialize(picks []refPick) Placement {
 	return p
 }
 
-// TestPlacementOracleChurn property-tests the bucket-walk search, the
-// epoch-cached search, and the speculative Searcher path against the naive
-// oracle under 1k steps of randomized allocate/release churn, across all
-// three locality levels. Three clusters advance in lockstep: one with the
-// negative-result cache enabled (also probed through a Searcher context),
-// one with it disabled, and the oracle reading the cached cluster's state.
+// TestPlacementOracleChurn property-tests the bucket-walk search and the
+// epoch-cached search against the naive oracle under 1k steps of randomized
+// allocate/release churn, across all three locality levels. Two clusters
+// advance in lockstep: one with the negative-result cache enabled and one
+// with it disabled, and the oracle reads the cached cluster's state.
 func TestPlacementOracleChurn(t *testing.T) {
 	mk := func() *Cluster {
 		return MustNew(Config{Racks: []RackConfig{
@@ -138,7 +137,6 @@ func TestPlacementOracleChurn(t *testing.T) {
 	}
 	cached, plain := mk(), mk()
 	plain.SetSearchCache(false)
-	searcher := cached.NewSearcher()
 
 	rng := stats.NewRNG(99)
 	var live []JobID
@@ -161,9 +159,8 @@ func TestPlacementOracleChurn(t *testing.T) {
 		level := Locality(rng.IntN(3))
 		want, wantOK := referenceFindPlacement(cached, n, level)
 		for name, got := range map[string]func() (Placement, bool){
-			"cached":   func() (Placement, bool) { return cached.FindPlacement(n, level) },
-			"searcher": func() (Placement, bool) { return searcher.FindPlacement(n, level) },
-			"plain":    func() (Placement, bool) { return plain.FindPlacement(n, level) },
+			"cached": func() (Placement, bool) { return cached.FindPlacement(n, level) },
+			"plain":  func() (Placement, bool) { return plain.FindPlacement(n, level) },
 		} {
 			p, ok := got()
 			if ok != wantOK || !reflect.DeepEqual(p, want) {

@@ -43,47 +43,9 @@ func (l Locality) String() string {
 // — so "servers by free GPUs descending, ties by ID" is a bucket walk and
 // "best fit" is a first-set-bit query. The visit order is identical to what
 // the sorts produced, so placements are bit-for-bit the same; the search
-// itself no longer allocates (candidate picks go to a reused scratch, and
-// slots materialize only for the returned placement).
-//
-// The walks live on searchCtx — a scratch bundle (pick buffer + rack-order
-// buffer) — so the same code serves two callers: the cluster's own inline
-// context, and private Searcher contexts that fan speculative searches out
-// across goroutines while the free state is quiescent (scheduler.Pump's
-// fork-join). The search never mutates cluster state, so any number of
-// contexts may read concurrently.
-
-// searchCtx is one placement-search scratch context.
-type searchCtx struct {
-	c           *Cluster
-	rackScratch []*Rack
-	picks       []pick
-}
-
-// Searcher is a read-only placement-search context with private scratch.
-// Multiple Searchers may run FindPlacement concurrently against the same
-// cluster as long as nothing mutates allocations in the meantime; results
-// are bit-identical to Cluster.FindPlacement on the same state. Searcher
-// searches bypass the negative-result cache and the search counters — the
-// caller decides what to fold back via CommitSpeculative.
-type Searcher struct {
-	ctx searchCtx
-}
-
-// NewSearcher returns a search context for speculative (read-only) use.
-func (c *Cluster) NewSearcher() *Searcher {
-	return &Searcher{ctx: searchCtx{c: c}}
-}
-
-// FindPlacement runs the same pure search as Cluster.FindPlacement without
-// touching shared scratch, the cache, or the counters.
-func (s *Searcher) FindPlacement(n int, level Locality) (Placement, bool) {
-	c := s.ctx.c
-	if n <= 0 || n > c.freeGPUs {
-		return Placement{}, false
-	}
-	return s.ctx.findPlacement(n, level)
-}
+// itself no longer allocates (candidate picks and the rack order go to the
+// cluster's reused picks and rackScratch slices, and slots materialize only
+// for the returned placement).
 
 // FindPlacement searches for n free GPUs satisfying the locality level.
 // It returns the placement and true on success, or a zero placement and
@@ -112,61 +74,61 @@ func (c *Cluster) FindPlacement(n int, level Locality) (Placement, bool) {
 		c.shortCircuits++
 		return Placement{}, false
 	}
-	p, ok := c.inline.findPlacement(n, level)
+	p, ok := c.search(n, level)
 	if !ok {
 		c.memoizeFailure(n, level)
 	}
 	return p, ok
 }
 
-// findPlacement dispatches an already-validated search (0 < n <= freeGPUs).
-func (x *searchCtx) findPlacement(n int, level Locality) (Placement, bool) {
+// search dispatches an already-validated search (0 < n <= freeGPUs).
+func (c *Cluster) search(n int, level Locality) (Placement, bool) {
 	switch level {
 	case LocalityPacked:
-		return x.findPacked(n)
+		return c.findPacked(n)
 	case LocalityRack:
-		return x.findWithinRack(n)
+		return c.findWithinRack(n)
 	case LocalityRelaxed:
-		return x.findAnywhere(n)
+		return c.findAnywhere(n)
 	default:
 		return Placement{}, false
 	}
 }
 
 // findPacked places on the minimum number of servers within one rack.
-func (x *searchCtx) findPacked(n int) (Placement, bool) {
+func (c *Cluster) findPacked(n int) (Placement, bool) {
 	// Single-server case: best fit across all servers that can hold n.
-	if p, ok := x.bestFitSingleServer(n); ok {
+	if p, ok := c.bestFitSingleServer(n); ok {
 		return p, true
 	}
 	// Multi-server case: the job must span servers. Require the minimal
 	// server count for the rack's SKU and a single rack.
-	for _, rack := range x.racksByFreeDesc() {
+	for _, rack := range c.racksByFreeDesc() {
 		if rack.free < n {
 			continue
 		}
 		per := rack.SKU.GPUsPerServer
 		minServers := (n + per - 1) / per
-		x.picks = x.picks[:0]
-		if rem, used := x.gatherFromRack(rack, n); rem == 0 && used <= minServers {
-			return x.materializePicks(n), true
+		c.picks = c.picks[:0]
+		if rem, used := c.gatherFromRack(rack, n); rem == 0 && used <= minServers {
+			return c.materializePicks(n), true
 		}
 	}
 	return Placement{}, false
 }
 
 // findWithinRack places anywhere within a single rack.
-func (x *searchCtx) findWithinRack(n int) (Placement, bool) {
-	if p, ok := x.bestFitSingleServer(n); ok {
+func (c *Cluster) findWithinRack(n int) (Placement, bool) {
+	if p, ok := c.bestFitSingleServer(n); ok {
 		return p, true
 	}
-	for _, rack := range x.racksByFreeDesc() {
+	for _, rack := range c.racksByFreeDesc() {
 		if rack.free < n {
 			continue
 		}
-		x.picks = x.picks[:0]
-		if rem, _ := x.gatherFromRack(rack, n); rem == 0 {
-			return x.materializePicks(n), true
+		c.picks = c.picks[:0]
+		if rem, _ := c.gatherFromRack(rack, n); rem == 0 {
+			return c.materializePicks(n), true
 		}
 	}
 	return Placement{}, false
@@ -174,7 +136,7 @@ func (x *searchCtx) findWithinRack(n int) (Placement, bool) {
 
 // countGather is gatherFromRack without pick recording: it walks the same
 // buckets in the same order and returns the same (remaining, used) pair,
-// but touches no shared scratch — the epoch cache's per-rack feasibility
+// but touches no scratch — the epoch cache's per-rack feasibility
 // re-check (see epoch.go).
 func (r *Rack) countGather(need int) (int, int) {
 	used := 0
@@ -202,16 +164,16 @@ func (r *Rack) countGather(need int) (int, int) {
 // keep the job as compact as the free space allows, then spilling across
 // racks. With n <= freeGPUs it cannot fail — the gather visits every free
 // GPU in the cluster — which is why relaxed searches are never memoized.
-func (x *searchCtx) findAnywhere(n int) (Placement, bool) {
-	if p, ok := x.bestFitSingleServer(n); ok {
+func (c *Cluster) findAnywhere(n int) (Placement, bool) {
+	if p, ok := c.bestFitSingleServer(n); ok {
 		return p, true
 	}
-	x.picks = x.picks[:0]
+	c.picks = c.picks[:0]
 	need := n
-	for _, rack := range x.racksByFreeDesc() {
-		need, _ = x.gatherFromRack(rack, need)
+	for _, rack := range c.racksByFreeDesc() {
+		need, _ = c.gatherFromRack(rack, need)
 		if need == 0 {
-			return x.materializePicks(n), true
+			return c.materializePicks(n), true
 		}
 	}
 	return Placement{}, false
@@ -226,7 +188,7 @@ type pick struct {
 // rack, visiting servers by free GPUs descending with ties by server ID —
 // exactly the order the former per-attempt sort produced. It returns the
 // remaining need and the number of servers picked from this rack.
-func (x *searchCtx) gatherFromRack(rack *Rack, need int) (int, int) {
+func (c *Cluster) gatherFromRack(rack *Rack, need int) (int, int) {
 	used := 0
 	for f := rack.SKU.GPUsPerServer; f >= 1 && need > 0; f-- {
 		for w, word := range rack.buckets[f] {
@@ -238,7 +200,7 @@ func (x *searchCtx) gatherFromRack(rack *Rack, need int) (int, int) {
 				if take > need {
 					take = need
 				}
-				x.picks = append(x.picks, pick{srv: srv, take: take})
+				c.picks = append(c.picks, pick{srv: srv, take: take})
 				used++
 				need -= take
 				if need == 0 {
@@ -252,9 +214,9 @@ func (x *searchCtx) gatherFromRack(rack *Rack, need int) (int, int) {
 
 // materializePicks builds the placement for the current pick scratch,
 // taking each picked server's free GPUs in ascending device order.
-func (x *searchCtx) materializePicks(n int) Placement {
+func (c *Cluster) materializePicks(n int) Placement {
 	slots := make([]Slot, 0, n)
-	for _, pk := range x.picks {
+	for _, pk := range c.picks {
 		taken := 0
 		for g := range pk.srv.GPUs {
 			if taken == pk.take {
@@ -271,13 +233,12 @@ func (x *searchCtx) materializePicks(n int) Placement {
 
 // bestFitSingleServer finds the server whose free-GPU count is the smallest
 // value >= n (ties broken by lowest server ID for determinism).
-func (x *searchCtx) bestFitSingleServer(n int) (Placement, bool) {
-	c := x.c
+func (c *Cluster) bestFitSingleServer(n int) (Placement, bool) {
 	for f := n; f <= c.maxPerServer; f++ {
 		if id := firstBit(c.freeBuckets[f]); id >= 0 {
 			srv := c.servers[id]
-			x.picks = append(x.picks[:0], pick{srv: srv, take: n})
-			return x.materializePicks(n), true
+			c.picks = append(c.picks[:0], pick{srv: srv, take: n})
+			return c.materializePicks(n), true
 		}
 	}
 	return Placement{}, false
@@ -287,9 +248,9 @@ func (x *searchCtx) bestFitSingleServer(n int) (Placement, bool) {
 // increasing occupancy), ties by rack ID. The result is a reused scratch
 // ordered by insertion sort — rack counts are small and the (free desc, ID)
 // key is a total order, so the output matches the former stable sort.
-func (x *searchCtx) racksByFreeDesc() []*Rack {
-	racks := x.rackScratch[:0]
-	for _, r := range x.c.Racks {
+func (c *Cluster) racksByFreeDesc() []*Rack {
+	racks := c.rackScratch[:0]
+	for _, r := range c.Racks {
 		i := len(racks)
 		racks = append(racks, r)
 		for i > 0 {
@@ -302,7 +263,7 @@ func (x *searchCtx) racksByFreeDesc() []*Rack {
 		}
 		racks[i] = r
 	}
-	x.rackScratch = racks
+	c.rackScratch = racks
 	return racks
 }
 
@@ -327,8 +288,8 @@ func (c *Cluster) FindMigrationTarget(gpus int, exclude map[int]bool) (Placement
 					continue // fully free, or one of the job's own servers
 				}
 				srv := c.servers[id]
-				c.inline.picks = append(c.inline.picks[:0], pick{srv: srv, take: gpus})
-				return c.inline.materializePicks(gpus), true
+				c.picks = append(c.picks[:0], pick{srv: srv, take: gpus})
+				return c.materializePicks(gpus), true
 			}
 		}
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // parallelConfig is SmallConfig with three times the servers and VC
-// quotas: enough load for every VC lane and the speculative placement
-// path, while staying fast enough to run ~30 times in this test file.
+// quotas: enough load for every VC lane, while staying fast enough to run
+// many times in this package's tests.
 func parallelConfig() Config {
 	cfg := SmallConfig()
 	for i := range cfg.Cluster.Racks {
@@ -24,9 +24,10 @@ func parallelConfig() Config {
 	return cfg
 }
 
-// runWithPool executes one study over a pool of the given size (0 = no
-// pool: the pure sequential engine). It returns the result and the study
-// for white-box inspection.
+// runWithPool executes one study on the sequential engine with a pool of
+// the given size attached (0 = no pool). Nothing on the sequential engine
+// forks, so every size runs the same code. It returns the result and the
+// study for white-box inspection.
 func runWithPool(t *testing.T, cfg Config, workers int) (*StudyResult, *Study) {
 	t.Helper()
 	st, err := NewStudy(cfg)
@@ -69,22 +70,18 @@ func runShardedWithPool(t *testing.T, cfg Config, workers int) (*StudyResult, *S
 
 // TestWorkerCountInvariance is the tentpole's hard bar: the full-precision
 // StudyResult — every float in every job record, every histogram bucket and
-// sum, every occupancy sample — must be bit-identical across
+// sum, every occupancy sample — must be bit-identical under per-VC event
+// sharding at worker counts 1 and 4 against the sequential no-pool engine,
+// for 3 seeds × 2 policies. reflect.DeepEqual compares unexported recorder
+// state too, so this is strictly stronger than hashing a rendered report.
 //
-//   - intra-study worker counts 1, 2, 4 and 8 on the sequential engine, and
-//   - per-VC event sharding at worker counts 1 and 4,
-//
-// all against the sequential no-pool engine, for 3 seeds × 2 policies.
-// reflect.DeepEqual compares unexported recorder state too, so this is
-// strictly stronger than hashing a rendered report.
-//
-// On the sequential engine the pool carries the scheduler's speculative
-// candidate searches; workers=1 runs them inline on one goroutine, workers
-// ≥ 2 adds real concurrency (and, under make check, the race detector).
-// The sharded legs additionally pin the window merge: shard-local prepare
-// steps interleave differently across VC lanes than the sequential event
-// order, and the result must not care. The telemetry walk is sequential on
-// every leg; TestStudyOutputGolden in the root package pins its fold order.
+// The sharded pool is the only one inside a study that forks: workers=1
+// runs the windows inline on one goroutine, workers=4 adds real
+// concurrency (and, under make check, the race detector). The legs pin the
+// window merge: shard-local prepare steps interleave differently across VC
+// lanes than the sequential event order, and the result must not care. The
+// telemetry walk is sequential on every leg; TestStudyOutputGolden in the
+// root package pins its fold order.
 func TestWorkerCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run invariance matrix is not a -short test")
@@ -95,21 +92,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 			cfg.Scheduler.Policy = policy
 			cfg.Seed = seed
 			seq, _ := runWithPool(t, cfg, 0)
-			// The speculative placement path is on by default and its
-			// counters are part of the compared result, so the matrix
-			// below also pins their worker/shard invariance — provided the
-			// workload actually speculates.
-			if seq.Sched.SpeculativeCommits == 0 {
-				t.Fatalf("policy=%v seed=%d: no speculative placement commits", policy, seed)
-			}
-			for _, workers := range []int{1, 2, 4, 8} {
-				res, _ := runWithPool(t, cfg, workers)
-				if !reflect.DeepEqual(seq, res) {
-					diffStudyResults(t, seq, res)
-					t.Fatalf("policy=%v seed=%d workers=%d diverged from sequential engine",
-						policy, seed, workers)
-				}
-			}
 			// Sharded-event legs, with and without real pool concurrency.
 			for _, workers := range []int{1, 4} {
 				res, st := runShardedWithPool(t, cfg, workers)
@@ -165,8 +147,8 @@ func TestMillionEventInvariance(t *testing.T) {
 	if p := seqStudy.engine.Processed(); p < 1_000_000 {
 		t.Fatalf("reference run processed %d events, want >= 1e6 (recalibrate the config)", p)
 	}
-	if seq.Sched.SpeculativeCommits == 0 || seq.Sched.CacheShortCircuits == 0 {
-		t.Fatalf("saturated run did not exercise the cached/speculative paths: %+v", seq.Sched)
+	if seq.Sched.CacheShortCircuits == 0 {
+		t.Fatalf("saturated run did not exercise the search cache: %+v", seq.Sched)
 	}
 	cells := []int{1, 2, 4}
 	if raceDetectorOn {
@@ -212,7 +194,8 @@ func diffStudyResults(t *testing.T, a, b *StudyResult) {
 
 // TestPoolStreamingEquivalence checks that StreamJobs (the sweep's path)
 // composes with the pool: streamed-and-released results must match the
-// non-streaming run's scalar fields on a pooled study.
+// non-streaming run's scalar fields on a pooled study. The study shards its
+// events, so the pool really forks.
 func TestPoolStreamingEquivalence(t *testing.T) {
 	cfg := parallelConfig()
 	cfg.Workload.TotalJobs = 300
@@ -222,6 +205,7 @@ func TestPoolStreamingEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.ShardEvents()
 	pool := par.NewPool(4)
 	defer pool.Close()
 	st.SetPool(pool)

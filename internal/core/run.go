@@ -291,10 +291,9 @@ type Study struct {
 	// the other servers' draws.
 	hostStreams []stats.RNG
 
-	// pool is the shared fork-join worker pool (nil = run everything
-	// inline). Parallelism never changes results: the scheduler's
-	// speculative searches commit in candidate order and Fleet windows
-	// merge in (at, seq) order.
+	// pool is the shared fork-join worker pool for ShardEvents' Fleet
+	// windows (nil = run everything inline). Parallelism never changes
+	// results: Fleet windows merge in (at, seq) order.
 	pool *par.Pool
 
 	// detReason marks failure-reason codes that reproduce deterministically
@@ -500,20 +499,17 @@ func (s *Study) WindowStats() simulation.WindowStats {
 }
 
 // SetPool attaches a shared fork-join worker pool for intra-study
-// parallelism: the scheduler's speculative candidate searches and, under
-// ShardEvents, the event windows fan out across it. Must be called before
-// Run. The pool changes wall-clock only — StudyResult is bit-identical for
-// any pool size, including none (see PERFORMANCE.md for the determinism
-// argument).
+// parallelism: under ShardEvents the event windows fan out across it; on
+// the sequential engine nothing does, and the pool goes unused. Must be
+// called before Run. The pool changes wall-clock only — StudyResult is
+// bit-identical for any pool size, including none (see PERFORMANCE.md for
+// the determinism argument).
 //
 // The pool may be shared with other studies and with internal/sweep's
 // across-study workers: shards are handed only to workers that are idle at
 // that instant, so a fully busy pool degrades gracefully to inline
 // execution with zero oversubscription.
-func (s *Study) SetPool(p *par.Pool) {
-	s.pool = p
-	s.sched.SetPool(p)
-}
+func (s *Study) SetPool(p *par.Pool) { s.pool = p }
 
 // Run executes the study to completion and returns the result.
 func (s *Study) Run() (*StudyResult, error) {

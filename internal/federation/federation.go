@@ -286,7 +286,6 @@ type Study struct {
 	cfg     Config
 	fleet   *simulation.Fleet
 	members []*memberRT
-	pool    *par.Pool
 	stats   FleetStats
 	ran     bool
 }
@@ -333,16 +332,11 @@ func (s *Study) StreamMemberJobs(fn func(member, i int, r *core.JobResult)) {
 }
 
 // SetPool attaches a shared fork-join pool: member lanes run concurrently
-// inside fleet windows, and each member's speculative placement draws on
-// the same budget. Must be called before Run. Pool size changes wall-clock
-// only — the Result is bit-identical for any size, including none.
-func (s *Study) SetPool(p *par.Pool) {
-	s.pool = p
-	s.fleet.SetPool(p)
-	for _, m := range s.members {
-		m.study.SetPool(p)
-	}
-}
+// inside fleet windows. Each member is one sequential lane, so nothing
+// inside a member forks. Must be called before Run. Pool size changes
+// wall-clock only — the Result is bit-identical for any size, including
+// none.
+func (s *Study) SetPool(p *par.Pool) { s.fleet.SetPool(p) }
 
 // anyPending reports whether any member still has unfinished jobs.
 func (s *Study) anyPending() bool {

@@ -1,7 +1,7 @@
-// Package par provides the shared, budgeted worker pool behind every layer
+// Package par provides the shared, budgeted worker pool behind both layers
 // of parallelism in the simulator: across-study units in internal/sweep,
-// speculative placement in internal/scheduler, and event windows in
-// internal/simulation.
+// and event windows in internal/simulation (per-VC lanes of a sharded
+// study, member lanes of a federation).
 //
 // One pool, one budget. A Pool of size N never runs more than N tasks at
 // once, no matter how the layers nest: callers always execute their own
@@ -13,8 +13,8 @@
 // parked at that instant is never recruited for that fork-join, however
 // long it runs. internal/sweep calls ForkJoin over its units right after
 // building the pool, before the helpers park, so a sweep runs its units
-// one at a time on the caller and the helpers pick up only the units'
-// intra-study shards (ROADMAP item 1). A single study's first fork-join
+// one at a time on the caller and the helpers pick up only federated
+// units' window shards (ROADMAP item 1). A single study's first fork-join
 // comes well after its pool is built, so its shards do reach the helpers.
 //
 // Determinism contract: the pool only decides *where* a shard runs, never

@@ -63,7 +63,6 @@ import (
 	"strings"
 
 	"philly/internal/cluster"
-	"philly/internal/par"
 	"philly/internal/simulation"
 )
 
@@ -147,14 +146,6 @@ type Config struct {
 	PreemptMinRun simulation.Time
 	// GandivaQuantum is the time-slice for PolicyGandiva.
 	GandivaQuantum simulation.Time
-	// SpeculativeCandidates is the number of queue-head candidates whose
-	// placement searches each Pump pass forks onto the shared pool before
-	// committing them sequentially in exact queue order (0 disables
-	// speculation). Results are bit-identical to the sequential search for
-	// any value: a committed speculative result is re-validated against the
-	// cluster's free-state epoch and replaced by an inline search on any
-	// conflict.
-	SpeculativeCandidates int
 	// DisableSearchCache turns off the cluster's rack-epoch negative-result
 	// search cache (see cluster/epoch.go). Results are identical either
 	// way; the switch exists for differential tests and A/B benchmarks.
@@ -171,9 +162,6 @@ func DefaultConfig() Config {
 		Policy:              PolicyPhilly,
 		PreemptMinRun:       10 * simulation.Minute,
 		GandivaQuantum:      30 * simulation.Minute,
-		// Deep enough to cover every eligible candidate of a typical Pump
-		// pass; harmless (and free) when fewer are eligible.
-		SpeculativeCandidates: 8,
 	}
 }
 
@@ -191,9 +179,6 @@ func (c Config) Validate() error {
 	}
 	if c.Policy == PolicyGandiva && c.GandivaQuantum <= 0 {
 		return fmt.Errorf("scheduler: Gandiva policy needs a positive quantum")
-	}
-	if c.SpeculativeCandidates < 0 {
-		return fmt.Errorf("scheduler: SpeculativeCandidates must be >= 0, got %d", c.SpeculativeCandidates)
 	}
 	return nil
 }
@@ -449,19 +434,19 @@ type Stats struct {
 	PolicyPreemptions    int
 	// Migrations counts defragmentation moves (§5's migration guideline).
 	Migrations int
-	// PlacementSearches counts cluster placement searches (inline calls
-	// plus committed speculative ones — exactly the searches a fully
-	// sequential scheduler would have run); CacheShortCircuits is how many
-	// of those were answered by the rack-epoch negative-result cache
-	// without walking any rack. Both are pure functions of the scheduling
-	// sequence, so they are bit-identical across worker counts and engines.
+	// PlacementSearches counts cluster placement searches;
+	// CacheShortCircuits is how many of those the rack-epoch
+	// negative-result cache answered without walking any rack. Every
+	// search runs inline where its result is used, so both are the counts
+	// a sequential scheduler gives. Both are pure functions of the
+	// scheduling sequence, so they are bit-identical across worker counts
+	// and engines.
 	PlacementSearches  int
 	CacheShortCircuits int
-	// SpeculativeCommits counts speculative placement searches whose
-	// results were used at commit (the free state was untouched since the
-	// fork); SpeculativeConflicts counts candidates whose speculative
-	// result had to be discarded for an inline re-search because an earlier
-	// commit moved the free-state epoch.
+	// SpeculativeCommits and SpeculativeConflicts are always 0: they
+	// counted speculative placement, which was removed. They remain only
+	// because the benchmark module reads them; its next revision deletes
+	// them together with its scheduler.spec_* metrics.
 	SpeculativeCommits   int
 	SpeculativeConflicts int
 }
@@ -528,34 +513,7 @@ type Scheduler struct {
 	// startsBuf and preemptBuf back PumpResult's event slices across Pumps.
 	startsBuf  []StartEvent
 	preemptBuf []PreemptEvent
-
-	// pool, when set, runs the speculative candidate searches as fork-join
-	// tasks; a nil pool runs them inline with identical results. specs and
-	// searchers are reused across Pumps (one private search context per
-	// candidate slot), and specEpoch is the cluster free-state epoch the
-	// current speculation batch ran against.
-	pool      *par.Pool
-	specs     []specEntry
-	searchers []*cluster.Searcher
-	specEpoch uint64
-	// specFn is the fork-join body, hoisted so each speculation round does
-	// not allocate a fresh closure (pump loops run it thousands of times).
-	specFn func(int)
 }
-
-// specEntry is one speculatively searched queue candidate.
-type specEntry struct {
-	job   *Job
-	level cluster.Locality
-	p     cluster.Placement
-	ok    bool
-	used  bool
-}
-
-// SetPool attaches a fork-join pool for speculative candidate searches.
-// Scheduling output is bit-identical with or without a pool — the pool only
-// decides where the speculative searches run.
-func (s *Scheduler) SetPool(p *par.Pool) { s.pool = p }
 
 // victimRef pairs a preemption victim with its VC.
 type victimRef struct {
@@ -590,16 +548,11 @@ func New(cfg Config, cl *cluster.Cluster, vcs []VC) (*Scheduler, error) {
 	if cfg.DisableSearchCache {
 		cl.SetSearchCache(false)
 	}
-	s.specFn = func(i int) {
-		e := &s.specs[i]
-		e.p, e.ok = s.searchers[i].FindPlacement(e.job.GPUs, e.level)
-	}
 	return s, nil
 }
 
-// Stats returns a copy of the counters, folding in the cluster's search
-// totals (the cluster owns the search/short-circuit counts so that inline
-// and committed-speculative searches are tallied at one choke-point).
+// Stats returns a copy of the counters, with the placement-search totals
+// read from the cluster.
 func (s *Scheduler) Stats() Stats {
 	st := s.stats
 	st.PlacementSearches, st.CacheShortCircuits = s.cluster.SearchStats()
@@ -813,16 +766,8 @@ func (s *Scheduler) Pump(now simulation.Time) PumpResult {
 		vc.invalidateOrder()
 	}
 	res := PumpResult{Starts: s.startsBuf[:0], Preemptions: s.preemptBuf[:0]}
-	for {
-		s.speculate(now)
-		started := s.pumpOnce(now, &res)
-		if !started {
-			break
-		}
+	for s.pumpOnce(now, &res) {
 	}
-	// Drop any unconsumed speculative entries: job pointers must not
-	// outlive the Pump (the driver recycles job state between Pumps).
-	s.specs = s.specs[:0]
 	if s.cfg.Policy != PolicyFIFO && s.cfg.Policy != PolicyPhilly {
 		s.policyPreempt(now, &res)
 	}
@@ -864,89 +809,10 @@ func (s *Scheduler) pumpOnce(now simulation.Time, res *PumpResult) bool {
 	return any
 }
 
-// speculate forks placement searches for the first SpeculativeCandidates
-// eligible queued jobs — collected in the exact order pumpOnce will visit
-// them — against the current (quiescent) free state. pumpOnce's commits
-// then consume the results sequentially via placeFor, so the schedule is
-// bit-identical to running every search inline: the first commit always
-// sees an unchanged epoch, and any later candidate whose epoch moved falls
-// back to an inline search. Candidates the negative-result cache already
-// proves infeasible are skipped here — their inline search short-circuits
-// in O(1) anyway, so forking them would only burn pool slots (and in the
-// blocked-queue steady state this leaves nothing to fork at all).
-func (s *Scheduler) speculate(now simulation.Time) {
-	s.specs = s.specs[:0]
-	k := s.cfg.SpeculativeCandidates
-	if k <= 0 {
-		return
-	}
-collect:
-	for _, vc := range s.vcList {
-		for _, j := range s.orderQueue(vc, now) {
-			if j.State != StateQueued || j.NextAttempt > now {
-				if s.cfg.Policy == PolicyFIFO {
-					continue collect // a blocked head blocks the whole queue
-				}
-				continue
-			}
-			level := s.localityFor(j)
-			if s.cluster.KnownInfeasible(j.GPUs, level) {
-				if s.cfg.Policy == PolicyFIFO {
-					continue collect // its inline retry will break the queue
-				}
-				continue
-			}
-			s.specs = append(s.specs, specEntry{job: j, level: level})
-			if len(s.specs) >= k {
-				break collect
-			}
-		}
-	}
-	if len(s.specs) == 0 {
-		return
-	}
-	for len(s.searchers) < len(s.specs) {
-		s.searchers = append(s.searchers, s.cluster.NewSearcher())
-	}
-	s.specEpoch = s.cluster.Epoch()
-	// The forked searches are read-only over quiescent free state; each
-	// task touches only its own entry and its own Searcher scratch.
-	s.pool.ForkJoin(len(s.specs), s.specFn)
-}
-
-// placeFor resolves one candidate's placement: a speculative result when
-// one exists for this job at this level and the free state is untouched
-// since the fork, an inline search otherwise. Exactly one search is tallied
-// either way — the counters, like the placements, match a fully sequential
-// scheduler's bit for bit.
-func (s *Scheduler) placeFor(j *Job, level cluster.Locality) (cluster.Placement, bool) {
-	for i := range s.specs {
-		e := &s.specs[i]
-		if e.used || e.job != j {
-			continue
-		}
-		if e.level != level {
-			// A preemption path re-tries the job at a relaxed level; the
-			// speculative answer is for a different search. Leave the entry
-			// for the regular pass.
-			break
-		}
-		e.used = true
-		if s.cluster.Epoch() == s.specEpoch {
-			s.cluster.CommitSpeculative(j.GPUs, level, e.ok)
-			s.stats.SpeculativeCommits++
-			return e.p, e.ok
-		}
-		s.stats.SpeculativeConflicts++
-		break
-	}
-	return s.cluster.FindPlacement(j.GPUs, level)
-}
-
 // tryStart attempts to place and start one job.
 func (s *Scheduler) tryStart(vc *vcState, j *Job, now simulation.Time, res *PumpResult) bool {
 	level := s.localityFor(j)
-	p, ok := s.placeFor(j, level)
+	p, ok := s.cluster.FindPlacement(j.GPUs, level)
 	if !ok {
 		// Blocked: attribute the delay cause (§3.1.1). Fair-share delay
 		// "happens when the virtual cluster uses up its assigned quota";

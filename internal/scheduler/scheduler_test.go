@@ -227,6 +227,37 @@ func TestFragmentationThenLocalityRelaxation(t *testing.T) {
 	}
 }
 
+// TestSameShapeRetryShortCircuits pins the search counters to what a
+// sequential scheduler counts: two blocked jobs of one (GPUs, locality)
+// shape in one pass count two searches, and the second is answered by the
+// failure the first memoized, since nothing freed in between.
+func TestSameShapeRetryShortCircuits(t *testing.T) {
+	cl := testCluster()
+	s := newSched(t, DefaultConfig(), cl, defaultVCs())
+	// 2 GPUs taken on every server: 6 free on each, 24 in all, so no
+	// server fits an 8-GPU gang whole and the packed search fails.
+	for i, srv := range cl.Servers() {
+		if err := cl.Allocate(cluster.JobID(100+i), cluster.Placement{
+			Slots: []cluster.Slot{{Server: srv.ID, GPU: 0}, {Server: srv.ID, GPU: 1}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := cluster.JobID(1); id <= 2; id++ {
+		if err := s.Submit(NewJob(id, "vca", 8, 0), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := s.Pump(0); len(res.Starts) != 0 {
+		t.Fatalf("%d job(s) started on 6-GPU servers", len(res.Starts))
+	}
+	st := s.Stats()
+	if st.PlacementSearches != 2 || st.CacheShortCircuits != 1 {
+		t.Errorf("searches = %d, short-circuits = %d; want 2, 1",
+			st.PlacementSearches, st.CacheShortCircuits)
+	}
+}
+
 func TestQuotaBorrowingWorkConserving(t *testing.T) {
 	cl := testCluster()
 	s := newSched(t, DefaultConfig(), cl, []VC{{Name: "vca", Quota: 8}, {Name: "vcb", Quota: 24}})

@@ -6,11 +6,10 @@
 // reference: one heap, one goroutine, full (at, seq) order. Determinism —
 // identical results for identical seeds — is a design requirement (every
 // figure in EXPERIMENTS.md must be regenerable bit-for-bit), and the
-// single event loop is the simplest way to guarantee it. Intra-study
-// parallelism one layer up respects this contract: an event callback may
-// fork work out to a pool (speculative placement) but always joins before
-// returning, so the engine never observes concurrent mutation and the
-// event schedule is identical for every worker count.
+// single event loop is the simplest way to guarantee it. No event callback
+// on Engine forks: each runs to completion on the loop's goroutine, so the
+// engine never observes concurrent mutation and the event schedule is
+// identical for every worker count.
 //
 // Fleet (see fleet.go) partitions the loop itself into lanes — one per
 // virtual cluster under per-VC sharding (see sharded.go), one per member

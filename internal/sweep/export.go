@@ -94,11 +94,12 @@ type ExportReplica struct {
 	ETTRHours       NFloat `json:"ettr_hours,omitempty"`
 	ImbalancePct    NFloat `json:"imbalance_pct,omitempty"`
 	// Placement-search telemetry (PR 9); same omitempty convention — older
-	// exports decode as zero, so the format version stays 1.
-	PlacementSearches    int `json:"placement_searches,omitempty"`
-	CacheShortCircuits   int `json:"cache_short_circuits,omitempty"`
-	SpeculativeCommits   int `json:"speculative_commits,omitempty"`
-	SpeculativeConflicts int `json:"speculative_conflicts,omitempty"`
+	// exports decode as zero, so the format version stays 1. Exports from
+	// before speculative placement was removed also carry
+	// speculative_commits and speculative_conflicts, which decoding
+	// ignores.
+	PlacementSearches  int `json:"placement_searches,omitempty"`
+	CacheShortCircuits int `json:"cache_short_circuits,omitempty"`
 }
 
 // ExportAgg mirrors Agg with null-safe floats.
@@ -133,10 +134,8 @@ func toExportReplica(m ReplicaMetrics) ExportReplica {
 		ETTRHours:       NFloat(m.ETTRHours),
 		ImbalancePct:    NFloat(m.ImbalancePct),
 
-		PlacementSearches:    m.PlacementSearches,
-		CacheShortCircuits:   m.CacheShortCircuits,
-		SpeculativeCommits:   m.SpeculativeCommits,
-		SpeculativeConflicts: m.SpeculativeConflicts,
+		PlacementSearches:  m.PlacementSearches,
+		CacheShortCircuits: m.CacheShortCircuits,
 	}
 }
 
@@ -161,10 +160,8 @@ func fromExportReplica(e ExportReplica) ReplicaMetrics {
 		ETTRHours:       float64(e.ETTRHours),
 		ImbalancePct:    float64(e.ImbalancePct),
 
-		PlacementSearches:    e.PlacementSearches,
-		CacheShortCircuits:   e.CacheShortCircuits,
-		SpeculativeCommits:   e.SpeculativeCommits,
-		SpeculativeConflicts: e.SpeculativeConflicts,
+		PlacementSearches:  e.PlacementSearches,
+		CacheShortCircuits: e.CacheShortCircuits,
 	}
 }
 

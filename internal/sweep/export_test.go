@@ -190,13 +190,15 @@ func TestExportReliabilityColumnsRoundTrip(t *testing.T) {
 }
 
 // TestExportSchedulerCountersRoundTrip pins the PR-9 export additions: the
-// four placement-search counters round-trip exactly and are omitted when
+// two placement-search counters round-trip exactly and are omitted when
 // zero, so older exports decode unchanged and the format version stays 1.
+// An export written while speculative placement existed also carries
+// speculative_commits and speculative_conflicts; it still decodes, with
+// those keys ignored.
 func TestExportSchedulerCountersRoundTrip(t *testing.T) {
 	busy := ReplicaMetrics{
 		Seed: 7, Jobs: 20, Completed: 18,
 		PlacementSearches: 1234, CacheShortCircuits: 987,
-		SpeculativeCommits: 456, SpeculativeConflicts: 3,
 	}
 	idle := ReplicaMetrics{Seed: 8, Jobs: 20, Completed: 20}
 	res := &Result{
@@ -213,21 +215,25 @@ func TestExportSchedulerCountersRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.String()
-	for _, key := range []string{
-		"\"placement_searches\": 1234", "\"cache_short_circuits\": 987",
-		"\"speculative_commits\": 456", "\"speculative_conflicts\": 3",
-	} {
+	for _, key := range []string{"\"placement_searches\": 1234", "\"cache_short_circuits\": 987"} {
 		if !strings.Contains(raw, key) {
 			t.Errorf("export missing %s", key)
 		}
 	}
-	got, err := DecodeJSON(strings.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+	older := strings.Replace(raw, "\"cache_short_circuits\": 987",
+		"\"cache_short_circuits\": 987,\n\"speculative_commits\": 456,\n\"speculative_conflicts\": 3", 1)
+	if older == raw {
+		t.Fatal("could not build the older export")
 	}
-	reps := got.Scenarios[0].Replicas
-	if !reflect.DeepEqual(reps[0], busy) || !reflect.DeepEqual(reps[1], idle) {
-		t.Errorf("scheduler counters did not round-trip: %+v %+v", reps[0], reps[1])
+	for name, doc := range map[string]string{"export": raw, "older export": older} {
+		got, err := DecodeJSON(strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		reps := got.Scenarios[0].Replicas
+		if !reflect.DeepEqual(reps[0], busy) || !reflect.DeepEqual(reps[1], idle) {
+			t.Errorf("%s: scheduler counters did not round-trip: %+v %+v", name, reps[0], reps[1])
+		}
 	}
 
 	zeroOnly := &Result{
@@ -242,7 +248,7 @@ func TestExportSchedulerCountersRoundTrip(t *testing.T) {
 	if err := zeroOnly.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"placement_searches", "cache_short_circuits", "speculative_commits", "speculative_conflicts"} {
+	for _, key := range []string{"placement_searches", "cache_short_circuits"} {
 		if strings.Contains(buf.String(), key) {
 			t.Errorf("zero-counter export emits %s; omitempty contract broken", key)
 		}

@@ -304,7 +304,7 @@ func TestFleetConservation(t *testing.T) {
 // math.Float64bits of DelayP50, DelayP95, UtilMean, GPUHours,
 // FailedGPUHours, UnsuccessfulPct, LostGPUHours, CkptGPUHours and
 // ImbalancePct.
-const goldenFleetExportSHA256 = "8e6942ff06c4f48229d2a07d9d95a23da802460756659911b3aea59c5e247d35"
+const goldenFleetExportSHA256 = "adf07c96c3a04a48acee7356ccaf25b839ac6fcfc7dc6e1a7f9608af7f6f149d"
 
 var goldenFleetRows = [][13]uint64{
 	{0xf0, 0x95f, 0x95f, 0x4db,

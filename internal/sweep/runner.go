@@ -21,15 +21,15 @@ type Options struct {
 	// Replicas is the number of seed replicas per scenario (default 1).
 	Replicas int
 	// Workers is the sweep's total parallelism budget: Run builds one
-	// internal/par pool of this size for the across-study units and every
-	// study's intra-study fork-joins (speculative placement, federated
-	// cells' fleet windows). The budget is never exceeded: a shard goes
-	// only to a helper that is idle at that instant. In practice the
-	// units do not spread: ForkJoin offers work to helpers once, on entry,
-	// and that offer misses on the pool built a moment earlier, so the
-	// caller runs every unit itself, one at a time, and the helpers pick
-	// up only intra-study shards (ROADMAP item 1). 0 means GOMAXPROCS.
-	// Worker count never affects results, only wall-clock.
+	// internal/par pool of this size for the across-study units and the
+	// fleet windows of federated cells; a plain study forks nothing. The
+	// budget is never exceeded: a shard goes only to a helper that is idle
+	// at that instant. In practice the units do not spread: ForkJoin
+	// offers work to helpers once, on entry, and that offer misses on the
+	// pool built a moment earlier, so the caller runs every unit itself,
+	// one at a time, and the helpers pick up only federated cells' window
+	// shards (ROADMAP item 1). 0 means GOMAXPROCS. Worker count never
+	// affects results, only wall-clock.
 	Workers int
 	// BaseSeed roots per-run seed derivation; 0 means Matrix.Base.Seed.
 	BaseSeed uint64
@@ -179,13 +179,10 @@ func (m Matrix) Run(opts Options) (*Result, error) {
 					scenarios[s].Name, r, err))
 				return
 			}
-			// Intra-study fork-joins draw on the same pool: idle sweep
-			// workers pick them up, busy pools degrade to inline. Either
-			// way the study result is bit-identical (see
-			// core.Study.SetPool). A sweep never shards a study's event
-			// loop; its budget is meant for the units (see
-			// Options.Workers).
-			st.SetPool(pool)
+			// A sweep never shards a study's event loop, so a plain
+			// study runs inline on its unit's worker and takes no pool;
+			// the budget is meant for the units (see Options.Workers).
+			//
 			// Stream per-job results into the reduction as they finish,
 			// so the study releases full job records in flight and the
 			// sweep's peak memory tracks the running set, not the whole

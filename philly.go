@@ -95,10 +95,10 @@ func Run(cfg Config) (*StudyResult, error) { return RunParallel(cfg, 1) }
 // means GOMAXPROCS). With more than one worker the event loop shards per
 // virtual cluster — one internal/simulation.Fleet lane per VC, shard-local
 // work running concurrently inside virtual-time windows — and the windows
-// and speculative placement fan out across the pool; with one, the study
-// runs inline on the sequential engine. The result is bit-identical to Run
-// for every worker count — parallelism changes wall-clock only (see
-// PERFORMANCE.md for the determinism argument).
+// fan out across the pool; with one, the study runs inline on the
+// sequential engine. The result is bit-identical to Run for every worker
+// count — parallelism changes wall-clock only (see PERFORMANCE.md for the
+// determinism argument).
 func RunParallel(cfg Config, workers int) (*StudyResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -225,9 +225,9 @@ func ParseFederationSpec(seed uint64, spec string) (FederationConfig, error) {
 
 // RunFederated executes a federated study on a worker pool of the given
 // size (<= 0 means GOMAXPROCS): the pool runs member clusters concurrently
-// inside fleet windows, and each member's speculative placement. Each
-// member is already one event lane of the fleet coordinator, so nothing
-// shards further. The result is bit-identical for every worker count.
+// inside fleet windows. Each member is already one event lane of the fleet
+// coordinator, so nothing shards further. The result is bit-identical for
+// every worker count.
 func RunFederated(cfg FederationConfig, workers int) (*FederatedResult, error) {
 	st, err := federation.NewStudy(cfg)
 	if err != nil {
