@@ -617,13 +617,14 @@ func BenchmarkFederatedSweepMemory(b *testing.B) {
 }
 
 // BenchmarkSchedulerPumpChurn isolates the scheduler's barrier-side cost on
-// a queue-heavy, retry-dominated workload: a near-full cluster whose free
-// GPUs are scattered two-per-server, so a deep queue of locality-constrained
-// gangs re-runs doomed packed searches on every backoff expiry (the retry
-// storm of Jeon et al. §2.3 that dominates Pump time at scale). A light
-// allocate/release churn every few pumps dirties the free state so the
-// steady state is a mix of unchanged-epoch retries and genuine placements —
-// the scenario the rack-epoch feasibility cache targets.
+// a retry storm: a near-full cluster whose free GPUs are scattered
+// two-per-server, so a deep queue of locality-constrained gangs re-runs
+// doomed packed searches on every backoff expiry. It pins relaxation off,
+// a shape no study runs: the paper's scheduler relaxes a blocked gang's
+// locality after a fixed number of retries (Jeon et al. §2.3), and in a
+// full-scale study placement search is well under 2% of CPU. A light
+// allocate/release churn every few pumps keeps the steady state a mix of
+// failed retries and genuine placements.
 func BenchmarkSchedulerPumpChurn(b *testing.B) {
 	cl, err := cluster.New(cluster.DefaultConfig())
 	if err != nil {
@@ -709,12 +710,8 @@ func BenchmarkSchedulerPumpChurn(b *testing.B) {
 	if st.Starts != int(nextID)-1-256 {
 		b.Fatalf("steady state broken: %d starts, want %d", st.Starts, int(nextID)-1-256)
 	}
-	if st.CacheShortCircuits == 0 {
-		b.Fatal("churn never hit the negative-result cache")
-	}
 	b.ReportMetric(float64(st.BlockedAttempts)/float64(b.N), "blocked/op")
 	b.ReportMetric(float64(st.PlacementSearches)/float64(b.N), "searches/op")
-	b.ReportMetric(float64(st.CacheShortCircuits)/float64(b.N), "cachehits/op")
 }
 
 // BenchmarkTraceExport is one study's export as philly-sim writes it —

@@ -146,8 +146,7 @@ func main() {
 
 	fmt.Printf("simulated %d jobs on %d GPUs in %v (simulated %v)\n",
 		len(res.Jobs), res.TotalGPUs, time.Since(start).Round(time.Millisecond), res.SimEnd)
-	fmt.Printf("scheduler: %d placement search(es), %d cache short-circuit(s)\n",
-		res.Sched.PlacementSearches, res.Sched.CacheShortCircuits)
+	fmt.Printf("scheduler: %d placement search(es)\n", res.Sched.PlacementSearches)
 	if o := res.Outages; o.Events > 0 {
 		fmt.Printf("outages: %d event(s) (%d maintenance), %d attempt(s) killed, %.1f GPU-h down, %.1f GPU-h lost, %.1f GPU-h ckpt overhead, ETTF %.1fh, ETTR %.2fh\n",
 			o.Events, o.MaintenanceEvents, o.KilledAttempts,
@@ -182,9 +181,9 @@ func runFederation(cfg philly.FederationConfig, workers int, out string) error {
 		if err := writeFile(filepath.Join(dir, "trace.json"), tr.WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("member %-16s %d jobs on %d GPUs (simulated %v, %d search(es), %d cached) -> %s\n",
+		fmt.Printf("member %-16s %d jobs on %d GPUs (simulated %v, %d search(es)) -> %s\n",
 			m.Name, len(m.Result.Jobs), m.Result.TotalGPUs, m.Result.SimEnd,
-			m.Result.Sched.PlacementSearches, m.Result.Sched.CacheShortCircuits, dir)
+			m.Result.Sched.PlacementSearches, dir)
 	}
 	fmt.Printf("fleet: %d spillover move(s) over %d check(s), %d quota change(s) over %d rebalance tick(s), wall %v\n",
 		res.Fleet.SpilloverMoves, res.Fleet.SpilloverChecks,

@@ -56,10 +56,9 @@ type Tally struct {
 	// Preemptions sums fair-share and policy preemptions; Migrations
 	// counts defragmentation moves.
 	Preemptions, Migrations int
-	// Placement-search telemetry of one study's scheduler: searches and
-	// negative-result cache short-circuits. Engine counters, not workload
-	// metrics: a fleet tally leaves them 0.
-	PlacementSearches, CacheShortCircuits int
+	// PlacementSearches is one study's scheduler placement-search count.
+	// An engine counter, not a workload metric: a fleet tally leaves it 0.
+	PlacementSearches int
 	// ImbalancePct is the cross-member utilization spread (max member mean
 	// util minus min, percentage points); set by CombineFleet only.
 	ImbalancePct float64
@@ -186,7 +185,6 @@ func (r *StreamReducer) Finish(res *core.StudyResult) Tally {
 	t.Preemptions = res.Sched.FairSharePreemptions + res.Sched.PolicyPreemptions
 	t.Migrations = res.Sched.Migrations
 	t.PlacementSearches = res.Sched.PlacementSearches
-	t.CacheShortCircuits = res.Sched.CacheShortCircuits
 	t.summarize()
 	return t
 }

@@ -154,11 +154,6 @@ type Rack struct {
 	// exactly f free GPUs, f in [0, SKU.GPUsPerServer]. It yields "servers
 	// by free descending, ties by ID" as a bucket walk with no sorting.
 	buckets [][]uint64
-	// epoch is a monotonic counter bumped whenever any server in the rack
-	// changes its free-GPU count. Equal epochs imply byte-identical rack
-	// free state (the counter only ever increments), which is what makes
-	// the negative-result search cache exact (see epoch.go).
-	epoch uint64
 }
 
 // FreeGPUs returns the total free GPUs in the rack.
@@ -225,14 +220,8 @@ type Cluster struct {
 	picks       []pick
 	rackScratch []*Rack
 
-	// epoch is the cluster-wide free-state epoch; cacheOn, failCache and
-	// the search counters implement the rack-epoch negative-result cache
-	// (see epoch.go).
-	epoch         uint64
-	cacheOn       bool
-	failCache     map[failKey]*failMemo
-	searches      int
-	shortCircuits int
+	// searches counts FindPlacement calls (see SearchStats).
+	searches int
 
 	// placements tracks the live placement of each job for release and for
 	// locality/interference queries.
@@ -245,7 +234,7 @@ func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Racks) == 0 {
 		return nil, fmt.Errorf("cluster: no racks configured")
 	}
-	c := &Cluster{placements: make(map[JobID]Placement), cacheOn: true}
+	c := &Cluster{placements: make(map[JobID]Placement)}
 	serverID := 0
 	for rackID, rc := range cfg.Racks {
 		if rc.Servers <= 0 {
@@ -332,11 +321,6 @@ func (c *Cluster) syncServerIndexes(s *Server) {
 		c.emptyServers++
 	}
 	s.bucketFree = nw
-	// Every observable free-state change funnels through here, so bumping
-	// the epochs at this single choke-point is what lets equal epochs stand
-	// in for "byte-identical free state" (see epoch.go).
-	r.epoch++
-	c.epoch++
 }
 
 func setBit(words []uint64, i int)   { words[i/64] |= 1 << (uint(i) % 64) }

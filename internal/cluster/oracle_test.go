@@ -120,69 +120,56 @@ func refMaterialize(picks []refPick) Placement {
 	return p
 }
 
-// TestPlacementOracleChurn property-tests the bucket-walk search and the
-// epoch-cached search against the naive oracle under 1k steps of randomized
-// allocate/release churn, across all three locality levels. Two clusters
-// advance in lockstep: one with the negative-result cache enabled and one
-// with it disabled, and the oracle reads the cached cluster's state.
+// TestPlacementOracleChurn property-tests the bucket-walk search against
+// the naive oracle under 1k steps of randomized allocate/release churn,
+// across all three locality levels.
 func TestPlacementOracleChurn(t *testing.T) {
-	mk := func() *Cluster {
-		return MustNew(Config{Racks: []RackConfig{
-			{Servers: 6, SKU: SKU8GPU},
-			{Servers: 4, SKU: SKU8GPU},
-			{Servers: 8, SKU: SKU2GPU},
-			{Servers: 3, SKU: SKU8GPU},
-			{Servers: 5, SKU: SKU2GPU},
-		}})
-	}
-	cached, plain := mk(), mk()
-	plain.SetSearchCache(false)
+	c := MustNew(Config{Racks: []RackConfig{
+		{Servers: 6, SKU: SKU8GPU},
+		{Servers: 4, SKU: SKU8GPU},
+		{Servers: 8, SKU: SKU2GPU},
+		{Servers: 3, SKU: SKU8GPU},
+		{Servers: 5, SKU: SKU2GPU},
+	}})
 
 	rng := stats.NewRNG(99)
 	var live []JobID
 	nextID := JobID(1)
 	sizes := []int{1, 2, 3, 4, 6, 8, 12, 16, 24, 40, 64}
+	searches, failures := 0, 0
 	for step := 0; step < 1000; step++ {
 		if len(live) > 0 && rng.Bool(0.35) {
 			i := rng.IntN(len(live))
 			id := live[i]
 			live = append(live[:i], live[i+1:]...)
-			if err := cached.Release(id); err != nil {
-				t.Fatal(err)
-			}
-			if err := plain.Release(id); err != nil {
+			if err := c.Release(id); err != nil {
 				t.Fatal(err)
 			}
 			continue
 		}
 		n := sizes[rng.IntN(len(sizes))]
 		level := Locality(rng.IntN(3))
-		want, wantOK := referenceFindPlacement(cached, n, level)
-		for name, got := range map[string]func() (Placement, bool){
-			"cached": func() (Placement, bool) { return cached.FindPlacement(n, level) },
-			"plain":  func() (Placement, bool) { return plain.FindPlacement(n, level) },
-		} {
-			p, ok := got()
-			if ok != wantOK || !reflect.DeepEqual(p, want) {
-				t.Fatalf("step %d: n=%d level=%v: %s diverged from oracle:\nwant ok=%v %+v\ngot  ok=%v %+v",
-					step, n, level, name, wantOK, want, ok, p)
-			}
+		want, wantOK := referenceFindPlacement(c, n, level)
+		p, ok := c.FindPlacement(n, level)
+		searches++
+		if ok != wantOK || !reflect.DeepEqual(p, want) {
+			t.Fatalf("step %d: n=%d level=%v: diverged from oracle:\nwant ok=%v %+v\ngot  ok=%v %+v",
+				step, n, level, wantOK, want, ok, p)
 		}
-		if wantOK {
-			if err := cached.Allocate(nextID, want); err != nil {
-				t.Fatal(err)
-			}
-			if err := plain.Allocate(nextID, want); err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, nextID)
-			nextID++
+		if !wantOK {
+			failures++
+			continue
 		}
+		if err := c.Allocate(nextID, want); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, nextID)
+		nextID++
 	}
-	if _, hits := cached.SearchStats(); hits == 0 {
-		t.Fatal("churn never exercised the negative-result cache")
+	if got := c.SearchStats(); got != searches {
+		t.Fatalf("SearchStats = %d, want %d", got, searches)
 	}
-	if _, hits := plain.SearchStats(); hits != 0 {
-		t.Fatal("disabled cache still short-circuited searches")
+	if failures == 0 {
+		t.Fatal("churn never made a search fail")
 	}
 }

@@ -58,31 +58,11 @@ func (l Locality) String() string {
 // best-fit instead (fewest leftover free GPUs) so that they pack into
 // partially used machines and do not fragment empty servers — the paper's
 // anti-fragmentation packing for small jobs.
-//
-// Failed packed/rack searches are memoized against the free-state epochs
-// (see epoch.go): a retry against unchanged state — the blocked-queue storm
-// — short-circuits without walking any rack.
 func (c *Cluster) FindPlacement(n int, level Locality) (Placement, bool) {
 	c.searches++
-	if n <= 0 {
+	if n <= 0 || n > c.freeGPUs {
 		return Placement{}, false
 	}
-	if n > c.freeGPUs {
-		return Placement{}, false
-	}
-	if c.cacheOn && level != LocalityRelaxed && c.knownInfeasible(n, level) {
-		c.shortCircuits++
-		return Placement{}, false
-	}
-	p, ok := c.search(n, level)
-	if !ok {
-		c.memoizeFailure(n, level)
-	}
-	return p, ok
-}
-
-// search dispatches an already-validated search (0 < n <= freeGPUs).
-func (c *Cluster) search(n int, level Locality) (Placement, bool) {
 	switch level {
 	case LocalityPacked:
 		return c.findPacked(n)
@@ -94,6 +74,10 @@ func (c *Cluster) search(n int, level Locality) (Placement, bool) {
 		return Placement{}, false
 	}
 }
+
+// SearchStats returns the FindPlacement call count, a deterministic
+// function of the allocate/release/search sequence.
+func (c *Cluster) SearchStats() int { return c.searches }
 
 // findPacked places on the minimum number of servers within one rack.
 func (c *Cluster) findPacked(n int) (Placement, bool) {
@@ -134,36 +118,10 @@ func (c *Cluster) findWithinRack(n int) (Placement, bool) {
 	return Placement{}, false
 }
 
-// countGather is gatherFromRack without pick recording: it walks the same
-// buckets in the same order and returns the same (remaining, used) pair,
-// but touches no scratch — the epoch cache's per-rack feasibility
-// re-check (see epoch.go).
-func (r *Rack) countGather(need int) (int, int) {
-	used := 0
-	for f := r.SKU.GPUsPerServer; f >= 1 && need > 0; f-- {
-		for w, word := range r.buckets[f] {
-			for word != 0 {
-				local := w*64 + bits.TrailingZeros64(word)
-				word &= word - 1
-				take := r.Servers[local].free
-				if take > need {
-					take = need
-				}
-				used++
-				need -= take
-				if need == 0 {
-					return 0, used
-				}
-			}
-		}
-	}
-	return need, used
-}
-
 // findAnywhere places on any free GPUs, preferring emptier racks first to
 // keep the job as compact as the free space allows, then spilling across
-// racks. With n <= freeGPUs it cannot fail — the gather visits every free
-// GPU in the cluster — which is why relaxed searches are never memoized.
+// racks. With n <= freeGPUs it cannot fail: the gather visits every free
+// GPU in the cluster.
 func (c *Cluster) findAnywhere(n int) (Placement, bool) {
 	if p, ok := c.bestFitSingleServer(n); ok {
 		return p, true

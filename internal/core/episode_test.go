@@ -37,7 +37,7 @@ func TestEpisodeTimeConserved(t *testing.T) {
 				cfg.Defrag.Enabled = true
 			}
 			name := fmt.Sprintf("%v/defrag=%v", policy, defrag)
-			res, _ := runWithPool(t, cfg, 0)
+			res, _ := runSequential(t, cfg)
 
 			completed, preemptions, kills := 0, 0, 0
 			var worstRun, worstGPU float64

@@ -35,18 +35,17 @@ func faultyConfig(seed uint64) Config {
 
 // TestOutageInvariance is the tentpole's determinism bar: an outage- and
 // checkpoint-enabled study — including a same-instant cluster-wide mass
-// kill — must produce a bit-identical StudyResult on the sequential
-// engine at workers {1, 2, 4} and with per-VC event sharding at workers
-// {1, 4}. Outage effects are global events
-// scheduled at Arm in plan order, so every engine must realize the same
-// (at, seq) kill/hold/repair order.
+// kill — must produce a bit-identical StudyResult with per-VC event
+// sharding at workers {1, 4} and on the sequential no-pool engine.
+// Outage effects are global events scheduled at Arm in plan order, so
+// every engine must realize the same (at, seq) kill/hold/repair order.
 func TestOutageInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run invariance matrix is not a -short test")
 	}
 	for _, seed := range []uint64{3, 17} {
 		cfg := faultyConfig(seed)
-		seq, seqStudy := runWithPool(t, cfg, 0)
+		seq, seqStudy := runSequential(t, cfg)
 
 		// The claim is only interesting if the outage machinery engaged.
 		if seq.Outages.Events == 0 {
@@ -71,13 +70,6 @@ func TestOutageInvariance(t *testing.T) {
 			t.Fatalf("%d GPUs still held after the run", seqStudy.heldGPUs)
 		}
 
-		for _, workers := range []int{1, 2, 4} {
-			res, _ := runWithPool(t, cfg, workers)
-			if !reflect.DeepEqual(seq, res) {
-				diffStudyResults(t, seq, res)
-				t.Fatalf("seed=%d workers=%d diverged from sequential engine", seed, workers)
-			}
-		}
 		for _, workers := range []int{1, 4} {
 			res, st := runShardedWithPool(t, cfg, workers)
 			if st.WindowStats().LocalEvents == 0 {
@@ -103,13 +95,13 @@ func TestFaultsOffIsByteIdenticalToDefault(t *testing.T) {
 	base.Workload.TotalJobs = 300
 	base.Workload.Duration = simulation.Day
 
-	want, _ := runWithPool(t, base, 0)
+	want, _ := runSequential(t, base)
 
 	cfg := base
 	cfg.Faults = faults.DefaultConfig() // Enabled=false, but fully populated
 	cfg.Faults.Maintenance = []faults.Maintenance{{Rack: -1, Start: simulation.Hour, Duration: simulation.Hour}}
 	cfg.Checkpoint = DefaultCheckpointConfig() // Enabled=false
-	got, _ := runWithPool(t, cfg, 0)
+	got, _ := runSequential(t, cfg)
 	// The recorded Config legitimately differs (it carries the disabled
 	// faults settings); everything the simulation produced must not.
 	got.Config = want.Config
@@ -126,11 +118,11 @@ func TestFaultsOffIsByteIdenticalToDefault(t *testing.T) {
 func TestCheckpointReducesLostWork(t *testing.T) {
 	cfg := faultyConfig(5)
 	cfg.Checkpoint.Enabled = false
-	off, _ := runWithPool(t, cfg, 0)
+	off, _ := runSequential(t, cfg)
 
 	cfg.Checkpoint.Enabled = true
 	cfg.Checkpoint.Interval = 10 * simulation.Minute
-	on, _ := runWithPool(t, cfg, 0)
+	on, _ := runSequential(t, cfg)
 
 	if off.Outages.KilledAttempts == 0 || on.Outages.KilledAttempts == 0 {
 		t.Fatal("outages killed nothing; the comparison is vacuous")
@@ -151,7 +143,7 @@ func TestCheckpointReducesLostWork(t *testing.T) {
 // aggregates against the per-job records they summarize.
 func TestOutageStatsConsistency(t *testing.T) {
 	cfg := faultyConfig(13)
-	res, _ := runWithPool(t, cfg, 0)
+	res, _ := runSequential(t, cfg)
 
 	kills := 0
 	var lostGPUh, ckptGPUh float64

@@ -24,21 +24,15 @@ func parallelConfig() Config {
 	return cfg
 }
 
-// runWithPool executes one study on the sequential engine with a pool of
-// the given size attached (0 = no pool). Nothing on the sequential engine
-// forks, so every size runs the same code. It returns the result and the
-// study for white-box inspection.
-func runWithPool(t *testing.T, cfg Config, workers int) (*StudyResult, *Study) {
+// runSequential executes one study on the sequential engine with no pool:
+// the reference every invariance leg compares against. A pool would change
+// nothing here, since only a sharded study's Fleet forks. It returns the
+// result and the study for white-box inspection.
+func runSequential(t *testing.T, cfg Config) (*StudyResult, *Study) {
 	t.Helper()
 	st, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	var pool *par.Pool
-	if workers > 0 {
-		pool = par.NewPool(workers)
-		defer pool.Close()
-		st.SetPool(pool)
 	}
 	res, err := st.Run()
 	if err != nil {
@@ -91,7 +85,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		for _, seed := range []uint64{1, 7, 42} {
 			cfg.Scheduler.Policy = policy
 			cfg.Seed = seed
-			seq, _ := runWithPool(t, cfg, 0)
+			seq, _ := runSequential(t, cfg)
 			// Sharded-event legs, with and without real pool concurrency.
 			for _, workers := range []int{1, 4} {
 				res, st := runShardedWithPool(t, cfg, workers)
@@ -143,12 +137,12 @@ func TestMillionEventInvariance(t *testing.T) {
 	cfg.Workload.TotalJobs = 16000
 	cfg.Seed = 42
 
-	seq, seqStudy := runWithPool(t, cfg, 0)
+	seq, seqStudy := runSequential(t, cfg)
 	if p := seqStudy.engine.Processed(); p < 1_000_000 {
 		t.Fatalf("reference run processed %d events, want >= 1e6 (recalibrate the config)", p)
 	}
-	if seq.Sched.CacheShortCircuits == 0 {
-		t.Fatalf("saturated run did not exercise the search cache: %+v", seq.Sched)
+	if seq.Sched.BlockedAttempts == 0 {
+		t.Fatalf("saturated run never blocked a placement: %+v", seq.Sched)
 	}
 	cells := []int{1, 2, 4}
 	if raceDetectorOn {
@@ -199,7 +193,7 @@ func diffStudyResults(t *testing.T, a, b *StudyResult) {
 func TestPoolStreamingEquivalence(t *testing.T) {
 	cfg := parallelConfig()
 	cfg.Workload.TotalJobs = 300
-	plain, _ := runWithPool(t, cfg, 0)
+	plain, _ := runSequential(t, cfg)
 
 	st, err := NewStudy(cfg)
 	if err != nil {

@@ -38,8 +38,7 @@ type AttemptResult struct {
 	// clean attempts).
 	PlannedReason string
 	// ClassifiedReason is what the log classifier attributed ("" for clean
-	// attempts). With GenerateLogs enabled this comes from parsing the
-	// synthetic stderr log.
+	// attempts), parsed from the synthetic stderr log.
 	ClassifiedReason string
 	// RuntimeMinutes is the attempt's total running time (across
 	// preemption-split episodes). For failed attempts this is the realized
@@ -1135,9 +1134,6 @@ func (s *Study) isDeterministicReason(code string) bool { return s.detReason[cod
 // the draws depend only on (studySeed, jobID) and this job's failure
 // history, which is what lets classification run as a shard-local event.
 func (s *Study) classify(sc *shardCtx, js *jobState, reasonCode string) string {
-	if !s.cfg.GenerateLogs {
-		return reasonCode
-	}
 	log := sc.logGen.FailureLogBytes(reasonCode, js.spec.GPUs, s.logRNG(js))
 	return s.clf.ClassifyBytes(log)
 }
@@ -1218,14 +1214,11 @@ func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
 	if err != nil {
 		panic(fmt.Sprintf("core: convergence curve: %v", err))
 	}
-	losses := curve.Losses
-	if s.cfg.GenerateLogs {
-		// A job can reach convergence analysis without ever failing; its
-		// log stream is then first drawn here.
-		log := sc.logGen.TrainingLogBytes(curve.Losses, js.spec.GPUs, s.logRNG(js))
-		losses = joblog.ParseLossCurveBytes(log, sc.lossScratch[:0])
-		sc.lossScratch = losses
-	}
+	// A job can reach convergence analysis without ever failing; its log
+	// stream is then first drawn here.
+	log := sc.logGen.TrainingLogBytes(curve.Losses, js.spec.GPUs, s.logRNG(js))
+	losses := joblog.ParseLossCurveBytes(log, sc.lossScratch[:0])
+	sc.lossScratch = losses
 	parsed := training.Curve{Losses: losses}
 	return &ConvergenceResult{
 		EpochsRun:           parsed.Epochs(),

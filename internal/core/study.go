@@ -51,10 +51,6 @@ type Config struct {
 	HorizonFactor float64
 	// MaxEvents bounds the event loop as a runaway guard.
 	MaxEvents uint64
-	// GenerateLogs routes failure attribution through synthetic stderr
-	// logs and the signature classifier (the Table 7 path). Disabling it
-	// makes the classified reason equal to the planned one.
-	GenerateLogs bool
 
 	// AdaptiveRetry enables the paper's §5 guideline of classifying
 	// failures online and not retrying deterministic ones ("the scheduler
@@ -237,7 +233,6 @@ func DefaultConfig() Config {
 		CheckpointRetention: 0.9,
 		HorizonFactor:       1.6,
 		MaxEvents:           500_000_000,
-		GenerateLogs:        true,
 		Defrag:              DefaultDefragConfig(),
 		Faults:              faults.DefaultConfig(),
 		Checkpoint:          DefaultCheckpointConfig(),

@@ -13,8 +13,8 @@ import (
 // all-jobs histogram, once in its outcome margin, once in its size × outcome
 // cell and once in its job's accumulator; every 16-GPU job-minute lands in
 // exactly one spread histogram; and every tick samples every server once.
-// It runs parallelConfig with and without outages, on the sequential engine
-// and on four workers with per-VC event sharding.
+// It runs parallelConfig with and without outages, on the sequential no-pool
+// engine and on four workers with per-VC event sharding.
 func TestTelemetryCountsConserved(t *testing.T) {
 	plain := parallelConfig()
 	plain.Seed = 7
@@ -28,14 +28,18 @@ func TestTelemetryCountsConserved(t *testing.T) {
 		name string
 		cfg  Config
 	}{{"plain", plain}, {"faults", faulty}} {
-		for _, workers := range []int{1, 4} {
-			run := runWithPool
-			if workers > 1 {
-				run = runShardedWithPool
+		for _, sharded := range []bool{false, true} {
+			leg := c.name + " sequential"
+			var res *StudyResult
+			var st *Study
+			if sharded {
+				leg = c.name + " sharded workers=4"
+				res, st = runShardedWithPool(t, c.cfg, 4)
+			} else {
+				res, st = runSequential(t, c.cfg)
 			}
-			res, st := run(t, c.cfg, workers)
 			if c.cfg.Faults.Enabled && res.Outages.Events == 0 {
-				t.Fatalf("%s: no outage fired", c.name)
+				t.Fatalf("%s: no outage fired", leg)
 			}
 			tel := res.Telemetry
 
@@ -61,8 +65,8 @@ func TestTelemetryCountsConserved(t *testing.T) {
 
 			all := tel.All().Count()
 			if all == 0 || minutes16 == 0 || hostMinutes == 0 {
-				t.Fatalf("%s workers=%d: vacuous study: %d job-minutes, %d at 16 GPUs, %d host-minutes",
-					c.name, workers, all, minutes16, hostMinutes)
+				t.Fatalf("%s: vacuous study: %d job-minutes, %d at 16 GPUs, %d host-minutes",
+					leg, all, minutes16, hostMinutes)
 			}
 			for _, chk := range []struct {
 				what      string
@@ -76,10 +80,10 @@ func TestTelemetryCountsConserved(t *testing.T) {
 				{"HostMem vs ticks × servers", tel.HostMem().Count(), hostMinutes},
 			} {
 				if chk.got != chk.want {
-					t.Errorf("%s workers=%d: %s: %d != %d", c.name, workers, chk.what, chk.got, chk.want)
+					t.Errorf("%s: %s: %d != %d", leg, chk.what, chk.got, chk.want)
 				}
 			}
-			t.Logf("%s workers=%d: %d job-minutes, %d host-minutes", c.name, workers, all, hostMinutes)
+			t.Logf("%s: %d job-minutes, %d host-minutes", leg, all, hostMinutes)
 		}
 	}
 }

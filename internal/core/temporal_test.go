@@ -25,9 +25,9 @@ func temporalConfig(t *testing.T, preset string) Config {
 }
 
 // TestPatternWorkerInvariance extends the worker-count invariance bar to
-// pattern-driven workloads: a diurnal study must be bit-identical across
-// worker counts {1, 2, 4}, and with per-VC event sharding, all against the
-// sequential no-pool engine.
+// pattern-driven workloads: a diurnal or burst study with per-VC event
+// sharding on four workers must be bit-identical to the sequential no-pool
+// engine.
 func TestPatternWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariance matrix is not a -short test")
@@ -36,15 +36,7 @@ func TestPatternWorkerInvariance(t *testing.T) {
 		cfg := temporalConfig(t, preset)
 		for _, seed := range []uint64{1, 42} {
 			cfg.Seed = seed
-			seq, _ := runWithPool(t, cfg, 0)
-			for _, workers := range []int{1, 2, 4} {
-				res, _ := runWithPool(t, cfg, workers)
-				if !reflect.DeepEqual(seq, res) {
-					diffStudyResults(t, seq, res)
-					t.Fatalf("pattern=%s seed=%d workers=%d diverged from sequential engine",
-						preset, seed, workers)
-				}
-			}
+			seq, _ := runSequential(t, cfg)
 			res, st := runShardedWithPool(t, cfg, 4)
 			if st.WindowStats().LocalEvents == 0 {
 				t.Fatal("no events ran on the VC lanes")
@@ -59,9 +51,10 @@ func TestPatternWorkerInvariance(t *testing.T) {
 }
 
 // TestReplayWorkerInvariance extends the invariance bar to replay-driven
-// workloads: a study running a fixed spec stream must be bit-identical
-// across worker counts and event engines. The stream itself comes from the
-// generator, so it carries real retry/failure structure.
+// workloads: a study running a fixed spec stream must be bit-identical with
+// per-VC event sharding on four workers and on the sequential no-pool
+// engine. The stream itself comes from the generator, so it carries real
+// retry/failure structure.
 func TestReplayWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invariance matrix is not a -short test")
@@ -78,14 +71,7 @@ func TestReplayWorkerInvariance(t *testing.T) {
 	rcfg := parallelConfig()
 	rcfg.Seed = 7
 	rcfg.Workload.Replay = specs
-	seq, _ := runWithPool(t, rcfg, 0)
-	for _, workers := range []int{1, 2, 4} {
-		res, _ := runWithPool(t, rcfg, workers)
-		if !reflect.DeepEqual(seq, res) {
-			diffStudyResults(t, seq, res)
-			t.Fatalf("replay workers=%d diverged from sequential engine", workers)
-		}
-	}
+	seq, _ := runSequential(t, rcfg)
 	if res, _ := runShardedWithPool(t, rcfg, 4); !reflect.DeepEqual(seq, res) {
 		diffStudyResults(t, seq, res)
 		t.Fatal("sharded replay diverged from sequential engine")
@@ -95,7 +81,7 @@ func TestReplayWorkerInvariance(t *testing.T) {
 	// lives in internal/trace).
 	gcfg := parallelConfig()
 	gcfg.Seed = 7
-	want, _ := runWithPool(t, gcfg, 0)
+	want, _ := runSequential(t, gcfg)
 	if !reflect.DeepEqual(want.Jobs, seq.Jobs) {
 		t.Fatal("replaying the generator's own stream changed the job population")
 	}
@@ -118,7 +104,7 @@ func TestDiurnalShiftsQueueDelay(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Workload.Pattern = p
-		res, _ := runWithPool(t, cfg, 0)
+		res, _ := runSequential(t, cfg)
 		var delays []float64
 		for i := range res.Jobs {
 			if res.Jobs[i].Completed {
@@ -192,7 +178,7 @@ func TestTieHeavyReplayBatchesArrivals(t *testing.T) {
 			p, len(instants), len(specs))
 	}
 
-	seq, _ := runWithPool(t, rcfg, 0)
+	seq, _ := runSequential(t, rcfg)
 	res, sh := runShardedWithPool(t, rcfg, 4)
 	if !reflect.DeepEqual(seq, res) {
 		diffStudyResults(t, seq, res)

@@ -338,41 +338,3 @@ func TestValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetSearchCacheAblation is the federation (Fleet) leg of
-// core.TestSearchCacheAblation: turning the rack-epoch search cache off in
-// every member must leave the federated Result bit-identical — outside
-// the counter that reports the cache itself — across worker counts
-// {0, 1, 4}.
-func TestFleetSearchCacheAblation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("the ablation matrix is not a -short test")
-	}
-	onCfg := pressuredFleet()
-	offCfg := pressuredFleet()
-	for i := range offCfg.Members {
-		offCfg.Members[i].Config.Scheduler.DisableSearchCache = true
-	}
-	normalize := func(res *Result) {
-		for _, m := range res.Members {
-			m.Result.Config.Scheduler.DisableSearchCache = false
-			m.Result.Sched.CacheShortCircuits = 0
-		}
-	}
-	base := runFleet(t, onCfg, 0)
-	hits := 0
-	for _, m := range base.Members {
-		hits += m.Result.Sched.CacheShortCircuits
-	}
-	if hits == 0 {
-		t.Fatal("pressured fleet did not exercise the search cache")
-	}
-	normalize(base)
-	for _, workers := range []int{0, 1, 4} {
-		res := runFleet(t, offCfg, workers)
-		normalize(res)
-		if !reflect.DeepEqual(base, res) {
-			t.Fatalf("workers=%d: disabled-cache fleet diverged from the default fleet", workers)
-		}
-	}
-}

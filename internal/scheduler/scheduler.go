@@ -146,10 +146,6 @@ type Config struct {
 	PreemptMinRun simulation.Time
 	// GandivaQuantum is the time-slice for PolicyGandiva.
 	GandivaQuantum simulation.Time
-	// DisableSearchCache turns off the cluster's rack-epoch negative-result
-	// search cache (see cluster/epoch.go). Results are identical either
-	// way; the switch exists for differential tests and A/B benchmarks.
-	DisableSearchCache bool
 }
 
 // DefaultConfig returns the paper's operating point.
@@ -434,19 +430,17 @@ type Stats struct {
 	PolicyPreemptions    int
 	// Migrations counts defragmentation moves (§5's migration guideline).
 	Migrations int
-	// PlacementSearches counts cluster placement searches;
-	// CacheShortCircuits is how many of those the rack-epoch
-	// negative-result cache answered without walking any rack. Every
-	// search runs inline where its result is used, so both are the counts
-	// a sequential scheduler gives. Both are pure functions of the
-	// scheduling sequence, so they are bit-identical across worker counts
-	// and engines.
-	PlacementSearches  int
-	CacheShortCircuits int
-	// SpeculativeCommits and SpeculativeConflicts are always 0: they
-	// counted speculative placement, which was removed. They remain only
-	// because the benchmark module reads them; its next revision deletes
-	// them together with its scheduler.spec_* metrics.
+	// PlacementSearches counts cluster placement searches. Every search
+	// runs inline where its result is used, so it is a pure function of
+	// the scheduling sequence, bit-identical across worker counts and
+	// engines.
+	PlacementSearches int
+	// CacheShortCircuits, SpeculativeCommits and SpeculativeConflicts are
+	// always 0: they counted the placement search's negative-result cache
+	// and speculative placement, both removed. They remain only because
+	// the benchmark module reads them; its next revision deletes them
+	// together with its scheduler.cache_* and scheduler.spec_* metrics.
+	CacheShortCircuits   int
 	SpeculativeCommits   int
 	SpeculativeConflicts int
 }
@@ -545,17 +539,14 @@ func New(cfg Config, cl *cluster.Cluster, vcs []VC) (*Scheduler, error) {
 		s.vcList = append(s.vcList, st)
 	}
 	slices.SortFunc(s.vcList, func(a, b *vcState) int { return strings.Compare(a.Name, b.Name) })
-	if cfg.DisableSearchCache {
-		cl.SetSearchCache(false)
-	}
 	return s, nil
 }
 
-// Stats returns a copy of the counters, with the placement-search totals
+// Stats returns a copy of the counters, with the placement-search total
 // read from the cluster.
 func (s *Scheduler) Stats() Stats {
 	st := s.stats
-	st.PlacementSearches, st.CacheShortCircuits = s.cluster.SearchStats()
+	st.PlacementSearches = s.cluster.SearchStats()
 	return st
 }
 

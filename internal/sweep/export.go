@@ -95,11 +95,10 @@ type ExportReplica struct {
 	ImbalancePct    NFloat `json:"imbalance_pct,omitempty"`
 	// Placement-search telemetry (PR 9); same omitempty convention — older
 	// exports decode as zero, so the format version stays 1. Exports from
-	// before speculative placement was removed also carry
-	// speculative_commits and speculative_conflicts, which decoding
-	// ignores.
-	PlacementSearches  int `json:"placement_searches,omitempty"`
-	CacheShortCircuits int `json:"cache_short_circuits,omitempty"`
+	// before the search cache and speculative placement were removed also
+	// carry cache_short_circuits, speculative_commits and
+	// speculative_conflicts, which decoding ignores.
+	PlacementSearches int `json:"placement_searches,omitempty"`
 }
 
 // ExportAgg mirrors Agg with null-safe floats.
@@ -134,8 +133,7 @@ func toExportReplica(m ReplicaMetrics) ExportReplica {
 		ETTRHours:       NFloat(m.ETTRHours),
 		ImbalancePct:    NFloat(m.ImbalancePct),
 
-		PlacementSearches:  m.PlacementSearches,
-		CacheShortCircuits: m.CacheShortCircuits,
+		PlacementSearches: m.PlacementSearches,
 	}
 }
 
@@ -160,8 +158,7 @@ func fromExportReplica(e ExportReplica) ReplicaMetrics {
 		ETTRHours:       float64(e.ETTRHours),
 		ImbalancePct:    float64(e.ImbalancePct),
 
-		PlacementSearches:  e.PlacementSearches,
-		CacheShortCircuits: e.CacheShortCircuits,
+		PlacementSearches: e.PlacementSearches,
 	}
 }
 

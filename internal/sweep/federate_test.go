@@ -304,7 +304,7 @@ func TestFleetConservation(t *testing.T) {
 // math.Float64bits of DelayP50, DelayP95, UtilMean, GPUHours,
 // FailedGPUHours, UnsuccessfulPct, LostGPUHours, CkptGPUHours and
 // ImbalancePct.
-const goldenFleetExportSHA256 = "adf07c96c3a04a48acee7356ccaf25b839ac6fcfc7dc6e1a7f9608af7f6f149d"
+const goldenFleetExportSHA256 = "d5e022bbb93fccaa5a5626059c194d0134a2f0f954b37a3452aea12c40f2e033"
 
 var goldenFleetRows = [][13]uint64{
 	{0xf0, 0x95f, 0x95f, 0x4db,

@@ -46,11 +46,10 @@ type ReplicaMetrics struct {
 	// run's fleet row (max member mean util minus min, in percentage
 	// points); 0 for plain studies and individual member rows.
 	ImbalancePct float64
-	// Placement-search telemetry (PR 9): total searches and
-	// negative-result cache short-circuits. Exported per replica but not
-	// aggregated into table columns; 0 on a fleet row.
-	PlacementSearches  int
-	CacheShortCircuits int
+	// PlacementSearches is the scheduler's placement-search count.
+	// Exported per replica but not aggregated into table columns; 0 on a
+	// fleet row.
+	PlacementSearches int
 }
 
 // Reduce computes a replica's metrics from its study result: the study
@@ -64,26 +63,25 @@ func Reduce(res *core.StudyResult) ReplicaMetrics {
 // replicaMetrics projects a study or fleet tally onto the replica columns.
 func replicaMetrics(seed uint64, t analysis.Tally) ReplicaMetrics {
 	return ReplicaMetrics{
-		Seed:               seed,
-		Jobs:               t.Jobs,
-		Completed:          t.Completed,
-		JCTp50:             t.JCTp50,
-		JCTMean:            t.JCTMean,
-		DelayP50:           t.DelayP50,
-		DelayP95:           t.DelayP95,
-		MeanUtilPct:        t.UtilMean,
-		Preemptions:        t.Preemptions,
-		Migrations:         t.Migrations,
-		GPUHours:           t.GPUHours,
-		FailedGPUHours:     t.FailedGPUHours,
-		UnsuccessfulPct:    t.UnsuccessfulPct,
-		LostGPUHours:       t.LostGPUHours,
-		CkptOverheadPct:    t.CkptOverheadPct,
-		ETTFHours:          t.ETTFHours,
-		ETTRHours:          t.ETTRHours,
-		ImbalancePct:       t.ImbalancePct,
-		PlacementSearches:  t.PlacementSearches,
-		CacheShortCircuits: t.CacheShortCircuits,
+		Seed:              seed,
+		Jobs:              t.Jobs,
+		Completed:         t.Completed,
+		JCTp50:            t.JCTp50,
+		JCTMean:           t.JCTMean,
+		DelayP50:          t.DelayP50,
+		DelayP95:          t.DelayP95,
+		MeanUtilPct:       t.UtilMean,
+		Preemptions:       t.Preemptions,
+		Migrations:        t.Migrations,
+		GPUHours:          t.GPUHours,
+		FailedGPUHours:    t.FailedGPUHours,
+		UnsuccessfulPct:   t.UnsuccessfulPct,
+		LostGPUHours:      t.LostGPUHours,
+		CkptOverheadPct:   t.CkptOverheadPct,
+		ETTFHours:         t.ETTFHours,
+		ETTRHours:         t.ETTRHours,
+		ImbalancePct:      t.ImbalancePct,
+		PlacementSearches: t.PlacementSearches,
 	}
 }
 
