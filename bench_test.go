@@ -478,9 +478,7 @@ func BenchmarkSweepWorkerScaling(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(len(res.Scenarios)*res.Replicas), "studiesPerSweep")
-			if jct, ok := res.Scenarios[0].Summary.ByName("JCT p50 (min)"); ok {
-				b.ReportMetric(jct.Mean, "jctP50Min_scenario0")
-			}
+			b.ReportMetric(float64(res.Scenarios[0].Summary["JCT p50 (min)"].Mean), "jctP50Min_scenario0")
 		})
 	}
 }

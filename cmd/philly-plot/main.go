@@ -1,8 +1,8 @@
 // Command philly-plot is the plotting hook for sweep exports: it reads the
-// machine-readable JSON written by `philly-sweep -o json` (sweep.Export,
-// format_version 1) and emits per-axis plot-ready artifacts — a tidy CSV
-// (one row per scenario × metric, one column per axis, full aggregates)
-// and/or a GitHub-flavored Markdown comparison table.
+// machine-readable JSON written by `philly-sweep -o json` (the sweep.Result
+// export, format_version 1) and emits per-axis plot-ready artifacts — a
+// tidy CSV (one row per scenario × metric, one column per axis, full
+// aggregates) and/or a GitHub-flavored Markdown comparison table.
 //
 // Usage:
 //

@@ -267,18 +267,15 @@ type Result struct {
 
 // memberRT is the runtime pairing of a member study with its fleet lane.
 type memberRT struct {
-	name  string
 	study *core.Study
 	view  *simulation.Member
 	// horizon is the member's own run bound (set at Arm): spillover never
 	// targets a member past it — the injected submission would sit beyond
 	// the lane horizon forever.
 	horizon simulation.Time
-
-	offloaded, received      int
-	offloadedGPUs, recvdGPUs int
-	evacuated, resumed       int
-	evacuatedGPUs, resumeGPU int
+	// traffic names the member and counts its moves; spill counts into it
+	// and Run reports it as is.
+	traffic MemberFleetStats
 }
 
 // Study is a configured, runnable federation.
@@ -304,7 +301,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		}
 		view := s.fleet.Member(simulation.ShardID(i))
 		st.SetExecutor(view)
-		s.members = append(s.members, &memberRT{name: m.Name, study: st, view: view})
+		s.members = append(s.members, &memberRT{study: st, view: view, traffic: MemberFleetStats{Name: m.Name}})
 	}
 	return s, nil
 }
@@ -393,16 +390,10 @@ func (s *Study) Run() (*Result, error) {
 	for _, m := range s.members {
 		sr, err := m.study.Collect()
 		if err != nil {
-			return nil, fmt.Errorf("federation: member %q: %w", m.name, err)
+			return nil, fmt.Errorf("federation: member %q: %w", m.traffic.Name, err)
 		}
-		res.Members = append(res.Members, MemberResult{Name: m.name, Result: sr})
-		res.Fleet.Members = append(res.Fleet.Members, MemberFleetStats{
-			Name:          m.name,
-			JobsOffloaded: m.offloaded, JobsReceived: m.received,
-			GPUsOffloaded: m.offloadedGPUs, GPUsReceived: m.recvdGPUs,
-			JobsEvacuated: m.evacuated, JobsResumed: m.resumed,
-			GPUsEvacuated: m.evacuatedGPUs, GPUsResumed: m.resumeGPU,
-		})
+		res.Members = append(res.Members, MemberResult{Name: m.traffic.Name, Result: sr})
+		res.Fleet.Members = append(res.Fleet.Members, m.traffic)
 	}
 	return res, nil
 }
@@ -448,19 +439,19 @@ func (s *Study) spill(now simulation.Time) {
 				if err != nil {
 					// Candidates were validated against the same barrier
 					// state; a failure here is a bookkeeping bug.
-					panic(fmt.Sprintf("federation: evacuate job %d from %s: %v", cand.ID, donor.name, err))
+					panic(fmt.Sprintf("federation: evacuate job %d from %s: %v", cand.ID, donor.traffic.Name, err))
 				}
 				penalty := donor.study.CheckpointRestoreSeconds() + ev.DataGravitySeconds
 				spec.VC = target.study.SpilloverVC()
 				if _, err := target.study.InjectResumed(spec, remaining, penalty, now); err != nil {
-					panic(fmt.Sprintf("federation: inject evacuated job into %s: %v", target.name, err))
+					panic(fmt.Sprintf("federation: inject evacuated job into %s: %v", target.traffic.Name, err))
 				}
 				free[ti] -= cand.GPUs
 				s.stats.EvacuationMoves++
-				donor.evacuated++
-				donor.evacuatedGPUs += cand.GPUs
-				target.resumed++
-				target.resumeGPU += cand.GPUs
+				donor.traffic.JobsEvacuated++
+				donor.traffic.GPUsEvacuated += cand.GPUs
+				target.traffic.JobsResumed++
+				target.traffic.GPUsResumed += cand.GPUs
 			}
 		}
 	}
@@ -480,18 +471,18 @@ func (s *Study) spill(now simulation.Time) {
 				// Candidates were validated against the same barrier state;
 				// a failure here is a bookkeeping bug, not a recoverable
 				// condition.
-				panic(fmt.Sprintf("federation: offload job %d from %s: %v", cand.ID, donor.name, err))
+				panic(fmt.Sprintf("federation: offload job %d from %s: %v", cand.ID, donor.traffic.Name, err))
 			}
 			spec.VC = target.study.SpilloverVC()
 			if _, err := target.study.Inject(spec, now); err != nil {
-				panic(fmt.Sprintf("federation: inject job into %s: %v", target.name, err))
+				panic(fmt.Sprintf("federation: inject job into %s: %v", target.traffic.Name, err))
 			}
 			free[ti] -= cand.GPUs
 			s.stats.SpilloverMoves++
-			donor.offloaded++
-			donor.offloadedGPUs += cand.GPUs
-			target.received++
-			target.recvdGPUs += cand.GPUs
+			donor.traffic.JobsOffloaded++
+			donor.traffic.GPUsOffloaded += cand.GPUs
+			target.traffic.JobsReceived++
+			target.traffic.GPUsReceived += cand.GPUs
 		}
 	}
 }

@@ -3,17 +3,13 @@ package serve
 import (
 	"container/list"
 	"sync"
-
-	"philly/internal/sweep"
 )
 
-// cacheEntry is one memoized study: the decoded result (for white-box
-// equality tests and future reuse) plus the rendered export bytes every
+// cacheEntry is one memoized study: the rendered export bytes every
 // result fetch serves verbatim — so a cache hit and the original response
 // are byte-identical, not merely equivalent.
 type cacheEntry struct {
 	hash   string
-	result *sweep.Result
 	export []byte
 }
 

@@ -140,7 +140,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("study %s is %s; result exists only for done studies", j.ID, st.State))
 		return
 	}
-	_, export := j.Result()
+	export := j.Export()
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(export)
 }

@@ -1,10 +1,6 @@
 package serve
 
-import (
-	"sync"
-
-	"philly/internal/sweep"
-)
+import "sync"
 
 // JobState is a study's lifecycle state.
 type JobState string
@@ -41,7 +37,6 @@ type Job struct {
 	workers  int // granted lease; 0 until running (and for cache hits)
 	done     int // completed scenario × replica units
 	total    int
-	result   *sweep.Result
 	export   []byte
 	errMsg   string
 	changed  chan struct{}
@@ -104,12 +99,12 @@ func (j *Job) Status() JobStatus {
 // state.
 func (j *Job) Finished() <-chan struct{} { return j.finished }
 
-// Result returns the completed result and its export bytes, or (nil, nil)
-// until the job is done.
-func (j *Job) Result() (*sweep.Result, []byte) {
+// Export returns the completed study's export bytes, or nil until the job
+// is done.
+func (j *Job) Export() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result, j.export
+	return j.export
 }
 
 // CacheHit reports whether the job was answered from the result cache.
@@ -159,10 +154,10 @@ func (j *Job) setProgress(done, total int) {
 // finish moves the job to a terminal state exactly once; later calls are
 // ignored (a cancel racing a natural completion keeps whichever landed
 // first).
-func (j *Job) finish(state JobState, res *sweep.Result, export []byte, errMsg string) {
+func (j *Job) finish(state JobState, export []byte, errMsg string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.finishLocked(state, res, export, errMsg)
+	j.finishLocked(state, export, errMsg)
 }
 
 // finishIfUnstarted atomically moves a job that never started to
@@ -175,16 +170,15 @@ func (j *Job) finishIfUnstarted() bool {
 	if j.state != StateQueued {
 		return false
 	}
-	j.finishLocked(StateCanceled, nil, nil, "canceled before start")
+	j.finishLocked(StateCanceled, nil, "canceled before start")
 	return true
 }
 
-func (j *Job) finishLocked(state JobState, res *sweep.Result, export []byte, errMsg string) {
+func (j *Job) finishLocked(state JobState, export []byte, errMsg string) {
 	if j.state.terminal() {
 		return
 	}
 	j.state = state
-	j.result = res
 	j.export = export
 	j.errMsg = errMsg
 	if state == StateDone && j.total == 0 {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"philly/internal/par"
-	"philly/internal/sweep"
 )
 
 // TestSetRunningRespectsTerminal pins the dequeue-to-start race fix: a
@@ -29,7 +28,7 @@ func TestSetRunningRespectsTerminal(t *testing.T) {
 		t.Fatalf("job after refused start = %+v, want canceled with no workers", st)
 	}
 	// The sweep returning late must be a no-op on the terminal state.
-	j.finish(StateDone, nil, nil, "")
+	j.finish(StateDone, nil, "")
 	if st := j.Status(); st.State != StateCanceled {
 		t.Fatalf("late finish overwrote the terminal state: %+v", st)
 	}
@@ -108,7 +107,7 @@ func TestTerminalJobRetention(t *testing.T) {
 // logs the shard's stack under the job's ID; the server keeps serving.
 func TestPanickingStudyFailsOnlyItsJob(t *testing.T) {
 	const panicSeed = 4242
-	runStudy = func(r Resolved, workers int, cancel <-chan struct{}, progress func(done, total int)) (*sweep.Result, []byte, error) {
+	runStudy = func(r Resolved, workers int, cancel <-chan struct{}, progress func(done, total int)) ([]byte, error) {
 		if r.Seed == panicSeed {
 			pool := par.NewPool(2)
 			defer pool.Close()

@@ -204,7 +204,7 @@ func (s *Server) Submit(tenant string, spec Spec) (*Job, error) {
 		j.mu.Lock()
 		j.cacheHit = true
 		j.mu.Unlock()
-		j.finish(StateDone, e.result, e.export, "")
+		j.finish(StateDone, e.export, "")
 		s.retire(j)
 		return j, nil
 	}
@@ -451,7 +451,7 @@ func (s *Server) jobWorkersLocked(j *Job) int {
 // run executes one admitted study on its leased workers and finishes it.
 func (s *Server) run(j *Job, t *tenantState, workers int) {
 	defer s.wg.Done()
-	res, export, err := simulate(j, workers)
+	export, err := simulate(j, workers)
 
 	s.mu.Lock()
 	t.releaseLocked(workers)
@@ -460,12 +460,12 @@ func (s *Server) run(j *Job, t *tenantState, workers int) {
 
 	switch {
 	case err == nil:
-		s.cache.put(&cacheEntry{hash: j.Hash, result: res, export: export})
-		j.finish(StateDone, res, export, "")
+		s.cache.put(&cacheEntry{hash: j.Hash, export: export})
+		j.finish(StateDone, export, "")
 	case errors.Is(err, sweep.ErrCanceled):
-		j.finish(StateCanceled, nil, nil, "canceled")
+		j.finish(StateCanceled, nil, "canceled")
 	default:
-		j.finish(StateFailed, nil, nil, err.Error())
+		j.finish(StateFailed, nil, err.Error())
 	}
 	s.retire(j)
 	s.kickDispatch()
@@ -480,7 +480,7 @@ var runStudy = runResolved
 // panic in a pool shard reaches here as the *par.ShardPanic ForkJoin
 // re-raises on its caller; its Value names the panic and its Stack is the
 // shard's. The stack goes to the log, not into the job's error.
-func simulate(j *Job, workers int) (res *sweep.Result, export []byte, err error) {
+func simulate(j *Job, workers int) (export []byte, err error) {
 	defer func() {
 		v := recover()
 		if v == nil {
@@ -491,18 +491,18 @@ func simulate(j *Job, workers int) (res *sweep.Result, export []byte, err error)
 			v, stack = sp.Value, sp.Stack
 		}
 		log.Printf("serve: job %s: study panicked: %v\n%s", j.ID, v, stack)
-		res, export, err = nil, nil, fmt.Errorf("study panicked: %v", v)
+		export, err = nil, fmt.Errorf("study panicked: %v", v)
 	}()
 	return runStudy(j.Spec, workers, j.cancel, j.setProgress)
 }
 
 // runResolved builds and runs the matrix for a resolved spec, returning
-// the result and its canonical export bytes. It is the one execution
-// path shared by the server and the cache-correctness tests' fresh runs.
-func runResolved(r Resolved, workers int, cancel <-chan struct{}, progress func(done, total int)) (*sweep.Result, []byte, error) {
+// its canonical export bytes. It is the one execution path shared by the
+// server and the cache-correctness tests' fresh runs.
+func runResolved(r Resolved, workers int, cancel <-chan struct{}, progress func(done, total int)) ([]byte, error) {
 	m, err := r.BuildMatrix()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	res, err := m.Run(sweep.Options{
 		Replicas: r.Replicas,
@@ -511,13 +511,13 @@ func runResolved(r Resolved, workers int, cancel <-chan struct{}, progress func(
 		Progress: progress,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return res, buf.Bytes(), nil
+	return buf.Bytes(), nil
 }
 
 // TenantStats is one tenant's accounting snapshot for /v1/stats.

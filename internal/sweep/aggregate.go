@@ -9,19 +9,23 @@ import (
 	"philly/internal/stats"
 )
 
-// Agg summarizes one metric across a scenario's replicas.
+// Agg summarizes one metric across a scenario's replicas. The JSON tags
+// and field order are the export's summary record.
 type Agg struct {
 	// N is the replica count.
-	N int
+	N int `json:"n"`
 	// Mean, P50 and P95 summarize the replica values.
-	Mean, P50, P95 float64
+	Mean NFloat `json:"mean"`
+	P50  NFloat `json:"p50"`
+	P95  NFloat `json:"p95"`
 	// Min and Max bound the replica values.
-	Min, Max float64
+	Min NFloat `json:"min"`
+	Max NFloat `json:"max"`
 	// CI95 is the half-width of the 95% confidence interval of the mean,
 	// t(0.975, n-1) · s/√n; 0 for a single replica. The Student-t critical
 	// value matters at the harness's typical replica counts: at n=4 it is
 	// 3.18, not the asymptotic 1.96.
-	CI95 float64
+	CI95 NFloat `json:"ci95"`
 }
 
 // tCrit95 holds two-sided 95% Student-t critical values for 1..30 degrees
@@ -44,63 +48,55 @@ func tCrit(df int) float64 {
 
 // aggregate folds one metric's replica values.
 func aggregate(values []float64) Agg {
-	a := Agg{
-		N:    len(values),
-		Mean: stats.Mean(values),
-		P50:  stats.Percentile(values, 50),
-		P95:  stats.Percentile(values, 95),
-		Min:  math.Inf(1),
-		Max:  math.Inf(-1),
-	}
+	mean := stats.Mean(values)
+	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range values {
-		a.Min = math.Min(a.Min, v)
-		a.Max = math.Max(a.Max, v)
+		lo = math.Min(lo, v)
+		hi = math.Max(hi, v)
 	}
+	var ci float64
 	if len(values) > 1 {
 		var ss float64
 		for _, v := range values {
-			d := v - a.Mean
+			d := v - mean
 			ss += d * d
 		}
 		sd := math.Sqrt(ss / float64(len(values)-1))
-		a.CI95 = tCrit(len(values)-1) * sd / math.Sqrt(float64(len(values)))
+		ci = tCrit(len(values)-1) * sd / math.Sqrt(float64(len(values)))
 	}
-	return a
+	return Agg{
+		N:    len(values),
+		Mean: NFloat(mean),
+		P50:  NFloat(stats.Percentile(values, 50)),
+		P95:  NFloat(stats.Percentile(values, 95)),
+		Min:  NFloat(lo),
+		Max:  NFloat(hi),
+		CI95: NFloat(ci),
+	}
 }
 
-// Summary holds one Agg per default metric, in Metrics() order.
-type Summary struct {
-	// Metrics is indexed like Metrics(); ByName finds a column by header.
-	Metrics []Agg
-}
+// Summary holds one Agg per default metric, keyed by its Metrics() column
+// name — the export's summary object. A key the map lacks (an older export
+// that predates a column) reads as the zero Agg.
+type Summary map[string]Agg
 
 // Summarize folds a scenario's replicas into per-metric aggregates.
 func Summarize(replicas []ReplicaMetrics) Summary {
 	defs := Metrics()
-	s := Summary{Metrics: make([]Agg, len(defs))}
+	s := make(Summary, len(defs))
 	values := make([]float64, len(replicas))
-	for i, def := range defs {
+	for _, def := range defs {
 		for j := range replicas {
 			values[j] = def.Get(replicas[j])
 		}
-		s.Metrics[i] = aggregate(values)
+		s[def.Name] = aggregate(values)
 	}
 	return s
 }
 
-// ByName returns the aggregate for a metric column header, or false.
-func (s Summary) ByName(name string) (Agg, bool) {
-	for i, def := range Metrics() {
-		if def.Name == name && i < len(s.Metrics) {
-			return s.Metrics[i], true
-		}
-	}
-	return Agg{}, false
-}
-
 // fmtAgg renders "mean±ci" when replicated, else just the value.
 func fmtAgg(a Agg) string {
-	if math.IsNaN(a.Mean) {
+	if math.IsNaN(float64(a.Mean)) {
 		return "-"
 	}
 	if a.N > 1 {
@@ -140,8 +136,8 @@ func (r *Result) RenderTable() string {
 			}
 		}
 		row = append(row, fmt.Sprintf("%d", len(sc.Replicas)))
-		for j := range defs {
-			row = append(row, fmtAgg(sc.Summary.Metrics[j]))
+		for _, d := range defs {
+			row = append(row, fmtAgg(sc.Summary[d.Name]))
 		}
 		t.Add(row...)
 	}

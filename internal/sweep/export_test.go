@@ -34,6 +34,7 @@ func TestExportRoundTrip(t *testing.T) {
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	raw := buf.String()
 	got, err := DecodeJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +71,28 @@ func TestExportRoundTrip(t *testing.T) {
 	if got.RenderTable() != res.RenderTable() {
 		t.Error("decoded result renders a different table")
 	}
+
+	// An older export may carry a summary column Metrics() no longer
+	// lists. Decoding keeps it in the map; the renderers walk Metrics(),
+	// so it changes no table or plot.
+	older := strings.Replace(raw, `"summary": {`, `"summary": {"retired column": {"n": 2, "mean": 3},`, 1)
+	old, err := DecodeJSON(strings.NewReader(older))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, ok := old.Scenarios[0].Summary["retired column"]; !ok || a.Mean != 3 {
+		t.Errorf("older summary column = %+v, %v; want it kept with mean 3", a, ok)
+	}
+	var csvOld, csvNew bytes.Buffer
+	if err := old.WritePlotCSV(&csvOld); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.WritePlotCSV(&csvNew); err != nil {
+		t.Fatal(err)
+	}
+	if old.RenderTable() != res.RenderTable() || csvOld.String() != csvNew.String() {
+		t.Error("an extra summary column in an older export changed the rendered table or CSV")
+	}
 }
 
 // TestExportNaNEncodesAsNull pins the null convention for undefined metrics.
@@ -79,8 +102,8 @@ func TestExportNaNEncodesAsNull(t *testing.T) {
 		BaseSeed: 7,
 		Scenarios: []ScenarioResult{{
 			Scenario: Scenario{Name: "base"},
-			Replicas: []ReplicaMetrics{{Seed: 1, JCTp50: math.NaN()}},
-			Summary:  Summarize([]ReplicaMetrics{{Seed: 1, JCTp50: math.NaN()}}),
+			Replicas: []ReplicaMetrics{{Seed: 1, JCTp50: NFloat(math.NaN())}},
+			Summary:  Summarize([]ReplicaMetrics{{Seed: 1, JCTp50: NFloat(math.NaN())}}),
 		}},
 	}
 	var buf bytes.Buffer
@@ -94,7 +117,7 @@ func TestExportNaNEncodesAsNull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !math.IsNaN(got.Scenarios[0].Replicas[0].JCTp50) {
+	if !math.IsNaN(float64(got.Scenarios[0].Replicas[0].JCTp50)) {
 		t.Errorf("null did not decode back to NaN: %v", got.Scenarios[0].Replicas[0].JCTp50)
 	}
 }
@@ -119,7 +142,7 @@ func TestExportReliabilityColumnsRoundTrip(t *testing.T) {
 	}
 	undefined := ReplicaMetrics{
 		Seed: 4, Jobs: 10, Completed: 0,
-		LostGPUHours: 55.5, ETTFHours: math.NaN(), ETTRHours: math.NaN(),
+		LostGPUHours: 55.5, ETTFHours: NFloat(math.NaN()), ETTRHours: NFloat(math.NaN()),
 	}
 	clean := ReplicaMetrics{Seed: 5, Jobs: 10, Completed: 10}
 	res := &Result{
@@ -157,7 +180,7 @@ func TestExportReliabilityColumnsRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(reps[0], faulty) {
 		t.Errorf("faulty replica did not round-trip: %+v", reps[0])
 	}
-	if !math.IsNaN(reps[1].ETTFHours) || !math.IsNaN(reps[1].ETTRHours) {
+	if !math.IsNaN(float64(reps[1].ETTFHours)) || !math.IsNaN(float64(reps[1].ETTRHours)) {
 		t.Errorf("null did not decode back to NaN: %+v", reps[1])
 	}
 	if reps[1].LostGPUHours != 55.5 {

@@ -67,18 +67,19 @@ type Scenario struct {
 	// Index is the scenario's position in expansion order (row-major over
 	// the axes, first axis slowest). Seed derivation uses it, so scenario
 	// order — not completion order — defines the random streams.
-	Index int
+	Index int `json:"index"`
 	// Name joins the axis settings, e.g. "sched.policy=fifo defrag=on".
 	// For an empty matrix (no axes) it is "base".
-	Name string
+	Name string `json:"name"`
 	// Labels holds the per-axis value labels in axis order.
-	Labels []string
-	// Config is the fully-applied configuration (Seed still unset; the
-	// runner overwrites it per replica).
-	Config core.Config
+	Labels []string `json:"labels,omitempty"`
 	// Fleet lists the member presets of a federated scenario (nil for a
 	// plain single-cluster one); set by a fleet.members axis value.
-	Fleet []string
+	// Optional in the format, so the version stays 1.
+	Fleet []string `json:"fleet,omitempty"`
+	// Config is the fully-applied configuration (Seed still unset; the
+	// runner overwrites it per replica).
+	Config core.Config `json:"config"`
 	// applies holds the non-fleet value mutations in axis order, so the
 	// runner can re-apply them to each federation member's preset config.
 	applies []func(*core.Config)

@@ -34,11 +34,8 @@ func (r *Result) WritePlotCSV(w io.Writer) error {
 	b.WriteString("replicas,metric,mean,p50,p95,min,max,ci95\n")
 	for i := range r.Scenarios {
 		sc := &r.Scenarios[i]
-		for j, d := range defs {
-			if j >= len(sc.Summary.Metrics) {
-				break
-			}
-			a := sc.Summary.Metrics[j]
+		for _, d := range defs {
+			a := sc.Summary[d.Name]
 			for _, col := range axes {
 				b.WriteString(csvField(col[i]))
 				b.WriteByte(',')
@@ -87,12 +84,8 @@ func (r *Result) WritePlotMarkdown(w io.Writer) error {
 			b.WriteString(" " + mdField(col[i]) + " |")
 		}
 		fmt.Fprintf(&b, " %d |", len(sc.Replicas))
-		for j := range defs {
-			cell := "-"
-			if j < len(sc.Summary.Metrics) {
-				cell = fmtAgg(sc.Summary.Metrics[j])
-			}
-			b.WriteString(" " + mdField(cell) + " |")
+		for _, d := range defs {
+			b.WriteString(" " + mdField(fmtAgg(sc.Summary[d.Name])) + " |")
 		}
 		b.WriteString("\n")
 	}
@@ -134,11 +127,11 @@ func (r *Result) plotAxes() ([][]string, []string) {
 }
 
 // csvFloat renders a float at full precision, NaN as the empty cell.
-func csvFloat(v float64) string {
-	if math.IsNaN(v) {
+func csvFloat(v NFloat) string {
+	if math.IsNaN(float64(v)) {
 		return ""
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.FormatFloat(float64(v), 'g', -1, 64)
 }
 
 // csvField quotes a CSV field when it needs it.

@@ -35,7 +35,8 @@ func plotFixture() *Result {
 			Summary:  Summarize(ms),
 		}
 	}
-	m := func(seed uint64, jct, delay, util float64, completed int) ReplicaMetrics {
+	nan := NFloat(math.NaN())
+	m := func(seed uint64, jct, delay, util NFloat, completed int) ReplicaMetrics {
 		rm := ReplicaMetrics{
 			Seed: seed, Jobs: 100, Completed: completed,
 			JCTp50: jct, JCTMean: jct * 1.5,
@@ -46,13 +47,13 @@ func plotFixture() *Result {
 			ETTFHours: 9.5, ETTRHours: 0.75, ImbalancePct: 0.5,
 		}
 		if completed == 0 {
-			rm.JCTp50, rm.JCTMean = math.NaN(), math.NaN()
-			rm.DelayP50, rm.DelayP95 = math.NaN(), math.NaN()
+			rm.JCTp50, rm.JCTMean = nan, nan
+			rm.DelayP50, rm.DelayP95 = nan, nan
 			rm.UnsuccessfulPct = 0
 			// Reliability columns take the same null path: a hand-tooled
 			// export may carry NaN here, and it must survive as null in
 			// JSON and an empty CSV cell.
-			rm.ETTFHours, rm.ETTRHours = math.NaN(), math.NaN()
+			rm.ETTFHours, rm.ETTRHours = nan, nan
 		}
 		return rm
 	}
@@ -64,15 +65,42 @@ func plotFixture() *Result {
 			mk(0, []string{"philly", "1"}, m(11, 30, 2, 54.5, 97), m(12, 34, 3, 52.25, 96)),
 			mk(1, []string{"philly", "2"}, m(13, 40, 5, 50, 95), m(14, 44, 6, 49.5, 93)),
 			mk(2, []string{"fifo", "1"}, m(15, 55, 9, 51, 96), m(16, 61, 11, 50.75, 95)),
-			mk(3, []string{"fifo", "2"}, m(17, math.NaN(), math.NaN(), 48, 0), m(18, math.NaN(), math.NaN(), 47, 0)),
+			mk(3, []string{"fifo", "2"}, m(17, nan, nan, 48, 0), m(18, nan, nan, 47, 0)),
 		},
 	}
 }
 
-// TestPlotGolden pins the full plot-hook round trip: Result → Export JSON
+// checkGolden compares got against testdata/name byte for byte, or
+// rewrites the file under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%s: %v (run with -update to regenerate)", name, err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s diverged from golden file (run with -update if intended)\ngot:\n%s\nwant:\n%s",
+			name, got, want)
+	}
+}
+
+// TestPlotGolden pins the full plot-hook round trip: Result → JSON export
 // (philly-sweep -o json) → DecodeJSON (philly-plot's reader) → CSV and
-// Markdown renderers, compared byte-for-byte against the golden files. Any
-// format change must be deliberate (-update) and shows up in review.
+// Markdown renderers, compared byte-for-byte against the golden files. The
+// export itself is pinned too (plot.json: nulls, labels, configs,
+// reliability columns, placement_searches omitted at 0), and decoding that
+// file must re-encode to the same bytes. Any format change must be
+// deliberate (-update) and shows up in review.
 func TestPlotGolden(t *testing.T) {
 	res := plotFixture()
 
@@ -81,9 +109,26 @@ func TestPlotGolden(t *testing.T) {
 	if err := res.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	checkGolden(t, "plot.json", buf.Bytes())
 	decoded, err := DecodeJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	golden, err := os.ReadFile(filepath.Join("testdata", "plot.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := DecodeJSON(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reencoded bytes.Buffer
+	if err := fromFile.WriteJSON(&reencoded); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reencoded.Bytes(), golden) {
+		t.Errorf("decoding plot.json and encoding it again changed its bytes\ngot:\n%s", reencoded.Bytes())
 	}
 
 	for _, tc := range []struct {
@@ -97,24 +142,7 @@ func TestPlotGolden(t *testing.T) {
 		if err := tc.write(decoded, &got); err != nil {
 			t.Fatalf("%s: %v", tc.golden, err)
 		}
-		path := filepath.Join("testdata", tc.golden)
-		if *updateGolden {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("%s: %v (run with -update to regenerate)", tc.golden, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%s diverged from golden file (run with -update if intended)\ngot:\n%s\nwant:\n%s",
-				tc.golden, got.String(), want)
-		}
+		checkGolden(t, tc.golden, got.Bytes())
 	}
 
 	// The renderers must also agree between the original and the decoded

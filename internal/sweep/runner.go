@@ -47,27 +47,32 @@ type Options struct {
 	Cancel <-chan struct{}
 }
 
-// Result is a completed sweep.
+// Result is a completed sweep. Its JSON tags and field order, with those
+// of ScenarioResult, Scenario, ReplicaMetrics and Agg, are the export
+// format (see WriteJSON).
 type Result struct {
-	// Scenarios holds one entry per matrix cell, in expansion order.
-	Scenarios []ScenarioResult
+	// Replicas echoes Options.Replicas.
+	Replicas int `json:"replicas"`
 	// AxisNames holds the matrix's axis names in axis order; comparison
-	// tables use them as per-axis column headers.
-	AxisNames []string
-	// Replicas echoes Options.Replicas; BaseSeed the effective base seed.
-	Replicas int
-	BaseSeed uint64
+	// tables use them as per-axis column headers. Optional in the format
+	// (older exports decode with no axis names and render with the opaque
+	// scenario-name column), so the version stays 1.
+	AxisNames []string `json:"axis_names,omitempty"`
+	// BaseSeed is the effective base seed.
+	BaseSeed uint64 `json:"base_seed"`
+	// Scenarios holds one entry per matrix cell, in expansion order.
+	Scenarios []ScenarioResult `json:"scenarios"`
 }
 
 // ScenarioResult pairs a scenario with its replica metrics and summary.
 type ScenarioResult struct {
-	// Scenario echoes the matrix cell.
-	Scenario Scenario
+	// Scenario echoes the matrix cell; its fields lead the export record.
+	Scenario
 	// Replicas holds per-replica metrics indexed by replica number — the
 	// order is derivation order, never completion order.
-	Replicas []ReplicaMetrics
+	Replicas []ReplicaMetrics `json:"replicas"`
 	// Summary folds the replicas (see Summarize).
-	Summary Summary
+	Summary Summary `json:"summary"`
 }
 
 // DeriveSeed maps (baseSeed, scenarioIdx, replicaIdx) to a run seed with

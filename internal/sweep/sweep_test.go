@@ -313,12 +313,12 @@ func TestAggregateHandComputed(t *testing.T) {
 	// Sample sd of {2,4,6,8} is sqrt(20/3); CI95 = t(0.975, df=3)*sd/2
 	// with the Student-t critical value 3.182 for 3 degrees of freedom.
 	wantCI := 3.182 * math.Sqrt(20.0/3.0) / 2
-	if math.Abs(a.CI95-wantCI) > 1e-12 {
+	if math.Abs(float64(a.CI95)-wantCI) > 1e-12 {
 		t.Fatalf("ci95 = %v, want %v", a.CI95, wantCI)
 	}
 	// p95 of 4 points at ranks 0,1,2,3: rank 2.85 -> 6*(0.15)+8*(0.85).
 	wantP95 := 6*0.15 + 8*0.85
-	if math.Abs(a.P95-wantP95) > 1e-12 {
+	if math.Abs(float64(a.P95)-wantP95) > 1e-12 {
 		t.Fatalf("p95 = %v, want %v", a.P95, wantP95)
 	}
 
@@ -334,19 +334,14 @@ func TestSummarizeUsesMetricDefs(t *testing.T) {
 		{JCTp50: 20, MeanUtilPct: 60, Preemptions: 5},
 	}
 	s := Summarize(reps)
-	if len(s.Metrics) != len(Metrics()) {
-		t.Fatalf("summary has %d metrics, want %d", len(s.Metrics), len(Metrics()))
+	if len(s) != len(Metrics()) {
+		t.Fatalf("summary has %d metrics, want %d", len(s), len(Metrics()))
 	}
-	jct, ok := s.ByName("JCT p50 (min)")
-	if !ok || jct.Mean != 15 {
-		t.Fatalf("JCT p50 aggregate = %+v, ok=%v, want mean 15", jct, ok)
+	if jct := s["JCT p50 (min)"]; jct.Mean != 15 {
+		t.Fatalf("JCT p50 aggregate = %+v, want mean 15", jct)
 	}
-	pre, ok := s.ByName("preempts")
-	if !ok || pre.Mean != 4 {
-		t.Fatalf("preempts aggregate = %+v, ok=%v, want mean 4", pre, ok)
-	}
-	if _, ok := s.ByName("no such metric"); ok {
-		t.Fatal("ByName matched a bogus metric name")
+	if pre := s["preempts"]; pre.Mean != 4 {
+		t.Fatalf("preempts aggregate = %+v, want mean 4", pre)
 	}
 }
 
