@@ -50,14 +50,17 @@ shuffle:
 # spec parsers' oracle is the canonical rendering: accepted specs re-parse to
 # the same config and canonicalization is a fixed point. The serve Spec
 # JSON's oracle: no body panics resolution, and an accepted spec's resolved
-# form resolves to itself with the same canonical hash. Raise FUZZTIME to
-# dig deeper.
+# form resolves to itself with the same canonical hash. The sweep export's
+# oracle: no input panics DecodeJSON or the table and plot renderers, and
+# WriteJSON of a decoded export decodes and re-encodes to the same bytes.
+# Raise FUZZTIME to dig deeper.
 FUZZTIME ?= 20s
 fuzz:
 	$(GO) test -fuzz FuzzReadTraceCSV -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzReadTraceJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz FuzzParseFaultsSpec -fuzztime $(FUZZTIME) -run '^$$' ./internal/core
 	$(GO) test -fuzz FuzzServeSpec -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
+	$(GO) test -fuzz FuzzDecodeJSON -fuzztime $(FUZZTIME) -run '^$$' ./internal/sweep
 
 # bench runs every benchmark once per reporting interval; pipe to a file to
 # record a BENCH_*.json-style trajectory for the PR log.
@@ -106,11 +109,12 @@ perfbench:
 serve-smoke:
 	$(GO) run ./cmd/philly-load -requests 12 -rps 20 -specs 2 -require-cache-hit
 
-# cli-smoke builds philly-sim, philly-repro, philly-sweep and philly-trace
-# once (into .cli-smoke/), runs each at small scale requiring exit 0, and
-# runs every usage error of the shared flag group and of each command
-# requiring exit 2 with a one-line "command: problem" message. It is the
-# only check on those binaries' main packages.
+# cli-smoke builds philly-sim, philly-repro, philly-sweep, philly-trace and
+# philly-plot once (into .cli-smoke/), runs each at small scale requiring
+# exit 0, runs every usage error of the shared flag group and of each
+# command requiring exit 2 with a one-line "command: problem" message, and
+# feeds philly-plot an export with trailing garbage, requiring exit 1 and
+# one such line. It is the only check on those binaries' main packages.
 cli-smoke:
 	GO=$(GO) bash scripts/cli-smoke.sh
 

@@ -566,14 +566,3 @@ func (c *Cluster) SharesServers(job JobID) bool {
 	}
 	return false
 }
-
-// CoresPerGPU returns the CPU cores allocated per requested GPU on the
-// given server's SKU (host resources are proportional, paper §2.3).
-func CoresPerGPU(s SKU) float64 {
-	return float64(s.CPUCoresPerServer) / float64(s.GPUsPerServer)
-}
-
-// MemoryPerGPU returns host memory GB per requested GPU for the SKU.
-func MemoryPerGPU(s SKU) float64 {
-	return float64(s.MemoryGBPerServer) / float64(s.GPUsPerServer)
-}

@@ -42,12 +42,6 @@ func TestTopologyCounts(t *testing.T) {
 	if got := c.EmptyServers(); got != 6 {
 		t.Errorf("EmptyServers = %d, want 6", got)
 	}
-	if got := c.MaxGPUsPerServer(); got != 8 {
-		t.Errorf("MaxGPUsPerServer = %d, want 8", got)
-	}
-	if got := c.MinServersFor(12); got != 2 {
-		t.Errorf("MinServersFor(12) = %d, want 2", got)
-	}
 	if got := c.Occupancy(); got != 0 {
 		t.Errorf("Occupancy = %v, want 0", got)
 	}
@@ -265,15 +259,6 @@ func TestPlacementMetrics(t *testing.T) {
 	}
 	if !p.CrossRack(c) {
 		t.Error("placement should be cross-rack")
-	}
-}
-
-func TestHostResourceHelpers(t *testing.T) {
-	if got := CoresPerGPU(SKU8GPU); got != 6 {
-		t.Errorf("CoresPerGPU(8-GPU SKU) = %v, want 6", got)
-	}
-	if got := MemoryPerGPU(SKU8GPU); got != 64 {
-		t.Errorf("MemoryPerGPU(8-GPU SKU) = %v, want 64", got)
 	}
 }
 

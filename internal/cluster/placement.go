@@ -275,24 +275,3 @@ func (c *Cluster) MaxRackGPUs() int {
 	}
 	return max
 }
-
-// MaxGPUsPerServer returns the largest per-server GPU count in the cluster.
-func (c *Cluster) MaxGPUsPerServer() int {
-	max := 0
-	for _, r := range c.Racks {
-		if r.SKU.GPUsPerServer > max {
-			max = r.SKU.GPUsPerServer
-		}
-	}
-	return max
-}
-
-// MinServersFor returns the minimum number of servers a job of n GPUs could
-// ever occupy in this cluster (its ideal locality).
-func (c *Cluster) MinServersFor(n int) int {
-	per := c.MaxGPUsPerServer()
-	if per == 0 {
-		return 0
-	}
-	return (n + per - 1) / per
-}

@@ -146,8 +146,8 @@ func (s *Study) inject(spec workload.JobSpec, now simulation.Time, setup func(*j
 		// never execute — the job would be silently lost.
 		return 0, fmt.Errorf("core: inject at %v past the study horizon %v", now, s.horizon)
 	}
-	shard, ok := s.shardOf[spec.VC]
-	if !ok {
+	vc := s.sched.VCIndex(spec.VC)
+	if vc < 0 {
 		return 0, fmt.Errorf("core: inject into unknown VC %q", spec.VC)
 	}
 	if err := s.checkWidth(&spec); err != nil {
@@ -165,7 +165,7 @@ func (s *Study) inject(spec workload.JobSpec, now simulation.Time, setup func(*j
 		idx:           len(s.results) + len(s.extra) - 1,
 		runIdx:        -1,
 		stagedAttempt: -1,
-		shard:         shard,
+		shard:         simulation.ShardID(vc),
 		sched:         scheduler.NewJob(id, spec.VC, spec.GPUs, now),
 	}
 	js.sched.RemainingSeconds = s.cleanWorkSeconds(&res.Spec)
@@ -174,7 +174,7 @@ func (s *Study) inject(spec workload.JobSpec, now simulation.Time, setup func(*j
 	}
 	s.states[id] = js
 	s.pending++
-	s.engine.AtShard(js.shard, now, func() {
+	s.engine.At(now, func() {
 		if err := s.sched.Submit(js.sched, s.engine.Now()); err != nil {
 			panic(fmt.Sprintf("core: submit injected job %d: %v", js.spec.ID, err))
 		}
@@ -270,9 +270,10 @@ func (s *Study) Evacuate(id cluster.JobID, now simulation.Time) (workload.JobSpe
 		if err := s.sched.Release(js.sched, now); err != nil {
 			panic(fmt.Sprintf("core: evacuate release job %d: %v", id, err))
 		}
-		// The freed gang may unblock queued jobs; pump on this member's
-		// lane like an injection, so the wake happens in member context.
-		s.engine.AtShard(js.shard, now, func() { s.pump() })
+		// The freed gang may unblock queued jobs; pump from an event at the
+		// current time like an injection, so the wake happens in member
+		// context.
+		s.engine.At(now, func() { s.pump() })
 	} else {
 		if err := s.sched.Withdraw(js.sched); err != nil {
 			return workload.JobSpec{}, 0, fmt.Errorf("core: evacuate job %d: %w", id, err)

@@ -181,7 +181,7 @@ type jobState struct {
 	// attemptOpen marks that the current attempt already has a result
 	// record (a resumption after preemption must not open a new one).
 	attemptOpen bool
-	// idx is the job's index in Study.jobs / StudyResult.Jobs.
+	// idx is the job's index in StudyResult.Jobs.
 	idx int
 	// meta is the telemetry grouping key for the current episode.
 	meta telemetry.JobMeta
@@ -201,11 +201,8 @@ type jobState struct {
 	// and seeded lazily on first use. Per-job keying is what makes log
 	// classification a shard-local computation: the draws depend only on
 	// this job's failure history, never on which other jobs failed first.
-	// curveStream is the analogous per-job convergence-curve stream, drawn
-	// at most once (at finalize).
-	logStream   stats.RNG
-	logInit     bool
-	curveStream stats.RNG
+	logStream stats.RNG
+	logInit   bool
 	// pendingRestoreSec is wall time the next episode must spend restoring
 	// from a checkpoint before making progress (set by an outage kill or a
 	// federation evacuation, consumed by onStart).
@@ -216,36 +213,17 @@ type jobState struct {
 	finishSeq int
 	running   bool
 
-	// shard is the event lane of the job's VC: every shard-local event of
-	// this job (the finish prepare step) runs there.
+	// shard is the event lane of the job's VC: the job's one shard-local
+	// event, classifyAttempt, runs there.
 	shard simulation.ShardID
-	// decision, stagedClassified and pendingConv are the staging area
-	// prepareFinish fills for commitFinish to publish; preparedSeq records
-	// which finish the staging belongs to, stagedAttempt which attempt.
-	// An attempt's outcome does not change when a preemption splits it
-	// into more episodes, so a resume's prepare re-validates the existing
-	// staging instead of re-rendering logs (stagedAttempt == attemptIdx);
-	// staging is recomputed only when a new attempt begins.
-	decision         finishDecision
+	// stagedClassified is what classifyAttempt attributed the failing
+	// attempt stagedAttempt to, for commitFinish to publish. A failing
+	// attempt's log is rendered and classified once: a preemption splits
+	// the attempt into more episodes but does not change its outcome, so a
+	// resume finds stagedAttempt == attemptIdx and classifies nothing.
 	stagedClassified string
-	preparedSeq      int
 	stagedAttempt    int
-	// pendingConv carries the convergence summary prepared on the shard to
-	// the finalizing commit.
-	pendingConv *ConvergenceResult
 }
-
-// finishDecision is what a prepared finish resolved to.
-type finishDecision uint8
-
-const (
-	decideNone finishDecision = iota
-	// decideRetry re-submits the job for another attempt.
-	decideRetry
-	// decideFinalize records the job's terminal state (clean completion,
-	// retries exhausted, or an adaptive-retry stop).
-	decideFinalize
-)
 
 // plannedAttempts returns the total attempts the job will make.
 func (js *jobState) plannedAttempts() int { return js.spec.Plan.TotalAttempts() }
@@ -278,10 +256,11 @@ type Study struct {
 	clf     *joblog.Classifier
 
 	// shardCtxs holds one render context per event shard (one per VC). A
-	// job's prepare steps always run on its VC's shard, so a context is
-	// never used by two shards at once; the sequential engine uses the
-	// same contexts (one event at a time), which keeps the two engines
-	// trivially identical on this state.
+	// job's classifyAttempt always runs on its VC's shard, so a context is
+	// never used by two shards at once, and finalize's convergence analysis
+	// borrows the job's context at a barrier, when no shard runs; the
+	// sequential engine uses the same contexts (one event at a time), which
+	// keeps the two engines trivially identical on this state.
 	shardCtxs []shardCtx
 
 	// hostStreams holds one pre-split stream per server (index = server
@@ -300,15 +279,11 @@ type Study struct {
 	// deployment would).
 	detReason map[string]bool
 
-	// shardOf maps VC name to event lane; resolved at Arm so Inject can
-	// route late-arriving spillover jobs onto the right shard.
-	shardOf map[string]simulation.ShardID
 	// horizon is the armed run bound (set by Arm).
 	horizon simulation.Time
 	// armed guards against a second Arm double-scheduling arrivals.
 	armed bool
 
-	jobs []workload.JobSpec
 	// jobStates and schedJobs are the flattened per-job state arenas: one
 	// contiguous allocation each for every generated job (slot = job index),
 	// laid out at Arm. Injected (federation-spillover) jobs arrive at run
@@ -364,10 +339,11 @@ type Study struct {
 	wakeArmed bool
 }
 
-// shardCtx is the scratch state a shard's local events may touch: the
-// failure/training-log render buffer and the loss-parse buffer. Everything
-// in it is pure scratch — the bytes and floats produced depend only on the
-// inputs and the per-job streams, never on which shard (or engine) ran the
+// shardCtx is the scratch state of a job's log work — classifyAttempt on
+// the job's shard, convergence analysis at a barrier: the failure/training-
+// log render buffer and the loss-parse buffer. Everything in it is pure
+// scratch — the bytes and floats produced depend only on the inputs and
+// the per-job streams, never on which shard (or engine) ran the
 // computation, so per-shard contexts cannot perturb results.
 type shardCtx struct {
 	logGen      *joblog.Generator
@@ -375,7 +351,7 @@ type shardCtx struct {
 }
 
 // NumJobs returns the number of generated jobs in the study.
-func (s *Study) NumJobs() int { return len(s.jobs) }
+func (s *Study) NumJobs() int { return len(s.results) }
 
 // StreamJobs registers fn to be called once per job, at the moment the job
 // reaches its terminal state, with the job's index in StudyResult.Jobs and
@@ -449,15 +425,16 @@ func NewStudy(cfg Config) (*Study, error) {
 	for code, r := range failures.ByCode() {
 		s.detReason[code] = r.Deterministic
 	}
-	s.jobs = gen.Generate(wlRNG)
-	for i := range s.jobs {
+	specs := gen.Generate(wlRNG)
+	s.results = make([]JobResult, len(specs))
+	for i := range specs {
 		// A replayed trace may ask for more GPUs than this cluster has; the
 		// scheduler would refuse the job mid-run, so refuse the study here.
-		if err := s.checkWidth(&s.jobs[i]); err != nil {
+		if err := s.checkWidth(&specs[i]); err != nil {
 			return nil, err
 		}
+		s.results[i].Spec = specs[i]
 	}
-	s.results = make([]JobResult, len(s.jobs))
 	if cfg.Faults.Enabled {
 		topo := faults.Topology{RackServers: make([]int, len(cfg.Cluster.Racks))}
 		for i, rc := range cfg.Cluster.Racks {
@@ -476,12 +453,13 @@ func NewStudy(cfg Config) (*Study, error) {
 // before Run.
 //
 // The Fleet advances lanes in bounded virtual-time windows: shard-local
-// events (failure-log rendering + classification, convergence-curve
-// analysis) run concurrently across VCs inside a window, while every event
-// that touches shared state — scheduler pumps, placement, telemetry ticks,
-// job state transitions — executes alone at window barriers in the
-// sequential engine's exact (at, seq) order. See internal/simulation's
-// package documentation for the determinism contract.
+// events (a failing attempt's log rendering and classification) run
+// concurrently across VCs inside a window, while every event that touches
+// shared state — scheduler pumps, placement, telemetry ticks, job state
+// transitions, convergence analysis — executes alone at window barriers
+// in the sequential engine's exact (at, seq) order. See
+// internal/simulation's package documentation for the determinism
+// contract.
 func (s *Study) ShardEvents() {
 	s.sharded = simulation.NewFleet(s.sched.NumVCs())
 	s.engine = s.sharded
@@ -559,23 +537,16 @@ func (s *Study) Arm() simulation.Time {
 		s.sharded.SetPool(s.pool)
 	}
 
-	// Shard ownership: a job's local events run on its VC's event lane
-	// (the VC index). The mapping depends only on the configured VC names,
-	// so it is identical across runs and engines.
-	s.shardOf = make(map[string]simulation.ShardID, s.sched.NumVCs())
-	for _, vc := range s.cfg.Workload.VCs {
-		s.shardOf[vc.Name] = simulation.ShardID(s.sched.VCIndex(vc.Name))
-	}
-	shardOf := s.shardOf
-
 	// Lay the per-job state out in the arenas (one allocation each, slot =
-	// job index) and wire scheduler jobs back to their slots via Tag.
-	s.jobStates = make([]jobState, len(s.jobs))
-	s.schedJobs = make([]scheduler.Job, len(s.jobs))
-	for i := range s.jobs {
-		spec := &s.jobs[i]
+	// job index) and wire scheduler jobs back to their slots via Tag. A
+	// job's local events run on its VC's event lane (the VC index), which
+	// depends only on the configured VC names, so it is identical across
+	// runs and engines.
+	s.jobStates = make([]jobState, len(s.results))
+	s.schedJobs = make([]scheduler.Job, len(s.results))
+	for i := range s.results {
 		res := &s.results[i]
-		res.Spec = *spec
+		spec := &res.Spec
 		sj := &s.schedJobs[i]
 		scheduler.InitJob(sj, cluster.JobID(spec.ID), spec.VC, spec.GPUs, spec.SubmitAt)
 		sj.Tag = i
@@ -586,7 +557,7 @@ func (s *Study) Arm() simulation.Time {
 			idx:           i,
 			runIdx:        -1,
 			stagedAttempt: -1,
-			shard:         shardOf[spec.VC],
+			shard:         simulation.ShardID(s.sched.VCIndex(spec.VC)),
 			sched:         sj,
 		}
 		sj.RemainingSeconds = s.cleanWorkSeconds(spec)
@@ -601,10 +572,10 @@ func (s *Study) Arm() simulation.Time {
 	// arrival events carried contiguous (at, seq) keys below every event a
 	// pump can schedule, so the fused loop replays exactly the order the
 	// sequential engine executed.
-	for i := 0; i < len(s.jobs); {
+	for i := 0; i < len(s.results); {
 		j := i + 1
-		at := s.jobs[i].SubmitAt
-		for j < len(s.jobs) && s.jobs[j].SubmitAt == at {
+		at := s.results[i].Spec.SubmitAt
+		for j < len(s.results) && s.results[j].Spec.SubmitAt == at {
 			j++
 		}
 		lo, hi := i, j
@@ -882,24 +853,20 @@ func (s *Study) accountCkptOverhead(js *jobState, wallSec float64) {
 	s.outStats.CkptOverheadGPUHours += ovh / 60
 }
 
-// scheduleFinish arms the episode-end event pair: a shard-local prepare
-// step at the CURRENT time and a global commit step at the episode's end,
-// at least one second away. Both are scheduled here, in global context, so
-// the sharded engine assigns them exactly the (at, seq) keys the
-// sequential engine would.
+// scheduleFinish arms the episode's end: a global commitFinish at the
+// episode's end, at least one second away, preceded on a failing attempt
+// by a shard-local classifyAttempt at the CURRENT time. Both are scheduled
+// here, in global context, so the sharded engine assigns them exactly the
+// (at, seq) keys the sequential engine would.
 //
-// The prepare runs at episode start rather than episode end because its
-// entire computation is already determined here: the failure plan fixes
-// whether and why this attempt fails, the classification and convergence
-// draws come from the job's private streams, and the retry-vs-finalize
-// decision depends only on those. This is the conservative lookahead that
-// makes per-VC sharding worthwhile — the engine knows the episode's
-// outcome one full episode ahead of the commit that publishes it, so every
-// prepare scheduled by one scheduling round (across all VCs) lands in the
-// same virtual-time window and they all run concurrently. A preemption or
-// migration before the commit bumps finishSeq, which invalidates both
-// halves; an invalidated prepare's stream draws are identical in both
-// engines (both run the same eager schedule), so determinism is unharmed.
+// The classification runs at episode start rather than episode end
+// because it is already determined here: the failure plan fixes whether
+// and why this attempt fails, and the log draws come from the job's
+// private stream. This is the conservative lookahead that lets per-VC
+// lanes run it concurrently — every classification scheduled by one
+// scheduling round (across all VCs) lands in the same virtual-time window.
+// A preemption or migration before the commit bumps finishSeq, which
+// invalidates both events; an invalidated classification draws nothing.
 func (s *Study) scheduleFinish(js *jobState, episodeSec float64, now simulation.Time) {
 	if episodeSec < 1 {
 		episodeSec = 1
@@ -907,7 +874,9 @@ func (s *Study) scheduleFinish(js *jobState, episodeSec float64, now simulation.
 	js.finishSeq++
 	seq := js.finishSeq
 	at := now + simulation.Time(episodeSec+0.5)
-	s.engine.AtShard(js.shard, now, func() { s.prepareFinish(js, seq) })
+	if js.currentFailure() != nil {
+		s.engine.AtShard(js.shard, now, func() { s.classifyAttempt(js, seq) })
+	}
 	s.engine.At(at, func() { s.commitFinish(js, seq) })
 }
 
@@ -1000,81 +969,45 @@ func (s *Study) removeRunning(js *jobState) {
 	}
 }
 
-// prepareFinish is the shard-local half of an episode end: the expensive
-// text-mediated work — failure-log rendering + signature classification,
-// the retry-vs-finalize decision it implies, and (when finalizing) the
-// convergence-curve render/parse/summary. It runs on the job's VC shard at
-// episode START, concurrently with other VCs' prepares inside the same
-// virtual-time window, and stages its outputs on the jobState for the
-// commit at the episode's end to publish.
+// classifyAttempt is the shard-local step of a failing attempt: it renders
+// the attempt's stderr log and classifies it, once per attempt, staging the
+// reason for commitFinish to publish. It runs on the job's VC shard at
+// episode start, concurrently with other VCs' classifications inside the
+// same virtual-time window.
 //
-// Everything read here is settled when the prepare runs: the failure plan
-// and spec are immutable, and the private streams plus the staging fields
-// are written only by this job's own prepares, which execute in (at, seq)
-// order on one shard lane. When a preemption or migration splits an
-// attempt into more episodes, the resume's prepare finds the attempt
-// already staged (stagedAttempt) and re-validates it without recomputing;
-// staging is built once per attempt, and the stream draws are identical
-// in both engines because both run the same eager schedule.
-func (s *Study) prepareFinish(js *jobState, seq int) {
-	if js.finishSeq != seq || !js.running {
+// Everything read here is settled when it runs: the failure plan and spec
+// are immutable, and the log stream and staging fields are written only
+// by this job's own classifications, which execute in (at, seq) order on
+// one shard lane. Both engines run the same schedule, so both classify at
+// the same positions and draw the same log bytes.
+func (s *Study) classifyAttempt(js *jobState, seq int) {
+	if js.finishSeq != seq || !js.running || js.stagedAttempt == js.attemptIdx {
 		// Superseded within the very scheduling round that armed it (a job
-		// can start and be preempted in one Pump); spend no draws, exactly
-		// like the sequential engine at this event's position.
-		return
-	}
-	if js.stagedAttempt == js.attemptIdx {
-		// A resume after a preemption or migration: the attempt's outcome
-		// (classification, decision, convergence) was already staged by an
-		// earlier episode's prepare and cannot have changed — re-validate
-		// it instead of re-rendering the logs. Both engines execute the
-		// same prepares, so both take this branch at the same positions.
-		js.preparedSeq = seq
+		// can start and be preempted in one Pump), or a resume of an
+		// attempt already classified: draw nothing.
 		return
 	}
 	sc := &s.shardCtxs[js.shard]
-	js.pendingConv = nil
-	if fa := js.currentFailure(); fa != nil {
-		js.stagedClassified = s.classify(sc, js, fa.Reason.Code)
-		switch {
-		case s.cfg.AdaptiveRetry && s.isDeterministicReason(js.stagedClassified):
-			// §5: the classifier says this failure will reproduce — stop
-			// retrying instead of burning two more gangs' worth of GPUs.
-			js.decision = decideFinalize
-		case js.attemptIdx+1 < js.plannedAttempts():
-			// Retry: back through the queue (Figure 1's retry loop).
-			// attemptIdx+1 is the value the commit will publish.
-			js.decision = decideRetry
-		default:
-			// Out of retries: unsuccessful.
-			js.decision = decideFinalize
-		}
-	} else {
-		// Clean completion (passed or killed).
-		js.decision = decideFinalize
-	}
-	if js.decision == decideFinalize &&
-		js.spec.LogsConvergence && js.spec.Plan.Outcome != failures.Unsuccessful {
-		// finalize will attach this summary; computing the curve (render,
-		// parse, summarize) here keeps the expensive text path on the shard.
-		js.pendingConv = s.convergence(sc, js)
-	}
+	js.stagedClassified = s.classify(sc, js, js.currentFailure().Reason.Code)
 	js.stagedAttempt = js.attemptIdx
-	js.preparedSeq = seq
 }
 
-// commitFinish is the global half of an episode end, executed at the
-// window barrier at the episode's end time: account the episode, close the
-// attempt record with the staged classification, release the gang, then
-// apply the prepared decision — re-submit for a retry or finalize — and
-// pump the scheduler. Guarded by the same (finishSeq, running) pair as the
-// prepare step, so both halves are valid or stale together.
+// commitFinish is the global end of an episode, executed at the window
+// barrier at the episode's end time: account the episode, close the
+// attempt record, release the gang, then decide. A clean attempt
+// finalizes. A failing one publishes its staged classification and is
+// retried through the queue (Figure 1's retry loop) until its retries run
+// out, or, under AdaptiveRetry, until its classification says the failure
+// will reproduce. Then the scheduler is pumped. Guarded by the same
+// (finishSeq, running) pair as classifyAttempt, so both are valid or stale
+// together.
 func (s *Study) commitFinish(js *jobState, seq int) {
 	if js.finishSeq != seq || !js.running {
 		return // a preemption or migration superseded this finish
 	}
-	if js.preparedSeq != seq {
-		panic(fmt.Sprintf("core: commit for job %d ran without its prepare (engine ordering bug)", js.sched.ID))
+	fa := js.currentFailure()
+	if fa != nil && js.stagedAttempt != js.attemptIdx {
+		panic(fmt.Sprintf("core: commit for job %d ran before its failing attempt was classified (engine ordering bug)", js.sched.ID))
 	}
 	now := s.engine.Now()
 	s.chargeEpisode(js, now)
@@ -1087,7 +1020,7 @@ func (s *Study) commitFinish(js *jobState, seq int) {
 	att.EndAt = now
 	att.RuntimeMinutes = js.attemptRunSec / 60
 
-	if fa := js.currentFailure(); fa != nil {
+	if fa != nil {
 		att.Failed = true
 		att.PlannedReason = fa.Reason.Code
 		att.ClassifiedReason = js.stagedClassified
@@ -1095,17 +1028,19 @@ func (s *Study) commitFinish(js *jobState, seq int) {
 		js.attemptRunSec = 0
 		js.attemptOpen = false
 	}
-
-	decision := js.decision
-	js.decision = decideNone
-	if decision == decideRetry {
+	switch {
+	case fa != nil && s.cfg.AdaptiveRetry && s.isDeterministicReason(att.ClassifiedReason):
+		// §5: the classifier says this failure will reproduce — stop
+		// retrying instead of burning two more gangs' worth of GPUs.
+		s.finalize(js, now)
+	case fa != nil && js.attemptIdx < js.plannedAttempts():
 		if err := s.sched.Submit(js.sched, now); err != nil {
 			panic(fmt.Sprintf("core: resubmit job %d: %v", js.sched.ID, err))
 		}
-		s.pump()
-		return
+	default:
+		// Clean completion (passed or killed), or out of retries.
+		s.finalize(js, now)
 	}
-	s.finalize(js, now)
 	s.pump()
 }
 
@@ -1165,13 +1100,8 @@ func (s *Study) finalize(js *jobState, now simulation.Time) {
 		}
 	}
 	res.MeanUtil = js.usage.MeanUtil()
-	if js.pendingConv != nil {
-		// Prepared on the job's shard (see prepareFinish); the condition
-		// there — LogsConvergence and a non-Unsuccessful planned outcome —
-		// is exactly the one this branch used to evaluate, because
-		// res.Outcome is always the plan's outcome.
-		res.Convergence = js.pendingConv
-		js.pendingConv = nil
+	if js.spec.LogsConvergence && res.Outcome != failures.Unsuccessful {
+		res.Convergence = s.convergence(js)
 	}
 	if s.jobObserver != nil {
 		s.jobObserver(js.idx, res)
@@ -1194,9 +1124,10 @@ func (s *Study) finalize(js *jobState, now simulation.Time) {
 // convergence realizes the job's loss curve, renders it through the
 // training-log generator, parses it back, and summarizes — the same
 // text-mediated path the paper's pipeline uses for its ~2.5k jobs. The
-// curve and the log draws come from the job's private streams, so the
-// whole computation is local to the job's shard.
-func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
+// curve is a pure function of (studySeed, jobID), and the log draws
+// continue the job's private log stream after its last classification. It
+// runs at a barrier, so it borrows the job's shard context.
+func (s *Study) convergence(js *jobState) *ConvergenceResult {
 	epochs := js.spec.Train.Epochs
 	if js.spec.Plan.Outcome == failures.Killed {
 		epochs = int(float64(epochs)*js.spec.Plan.KillFraction + 0.5)
@@ -1204,18 +1135,15 @@ func (s *Study) convergence(sc *shardCtx, js *jobState) *ConvergenceResult {
 			epochs = 1
 		}
 	}
-	// Re-seeding here (rather than behind a once-flag) keeps the curve a
-	// pure function of (studySeed, jobID): if a future change ever calls
-	// convergence more than once for a job — today the stagedAttempt skip
-	// makes it at most once — every call draws the identical curve, so the
-	// engines cannot diverge on it.
-	js.curveStream.Init(stats.DeriveEntitySeed(s.cfg.Seed, "job-curve", uint64(js.spec.ID)))
-	curve, err := training.SampleCurve(epochs, &js.curveStream)
+	var curveRNG stats.RNG
+	curveRNG.Init(stats.DeriveEntitySeed(s.cfg.Seed, "job-curve", uint64(js.spec.ID)))
+	curve, err := training.SampleCurve(epochs, &curveRNG)
 	if err != nil {
 		panic(fmt.Sprintf("core: convergence curve: %v", err))
 	}
 	// A job can reach convergence analysis without ever failing; its log
 	// stream is then first drawn here.
+	sc := &s.shardCtxs[js.shard]
 	log := sc.logGen.TrainingLogBytes(curve.Losses, js.spec.GPUs, s.logRNG(js))
 	losses := joblog.ParseLossCurveBytes(log, sc.lossScratch[:0])
 	sc.lossScratch = losses

@@ -51,8 +51,9 @@
 // must be ordered against methods that do (a Submit changes what the next
 // Pump starts), so core routes ALL scheduler calls through global events
 // at window barriers. What runs on the shards is the work that never
-// touches the scheduler: per-job failure-log rendering, classification and
-// convergence-curve analysis (see internal/core's prepare/commit split).
+// touches the scheduler: a failing attempt's log rendering and
+// classification (see internal/core's classifyAttempt; the commit at the
+// episode's end makes every decision).
 package scheduler
 
 import (

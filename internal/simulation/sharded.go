@@ -41,8 +41,9 @@
 //     which over global-context schedules is the same order. Causal chains
 //     that need to schedule therefore pass through a barrier: the
 //     conservative lookahead is "a local event never creates work", which
-//     core satisfies by pre-scheduling each local prepare step together
-//     with its global commit step (see internal/core).
+//     core satisfies by scheduling a failing attempt's local classification
+//     together with the global commit at the episode's end (see
+//     internal/core).
 //   - Local callbacks must not touch another shard's state or any shared
 //     mutable state. The executor cannot check this directly; the race
 //     detector over the invariance matrix does (make check).

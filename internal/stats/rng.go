@@ -1,6 +1,6 @@
 // Package stats provides the deterministic random-number plumbing and the
 // probability distributions used throughout the simulator: seeded PCG
-// streams, log-normal / exponential / Pareto / Zipf samplers, weighted
+// streams, log-normal / exponential / Zipf samplers, weighted
 // categorical choice, and summary statistics (percentiles, CDFs, means).
 //
 // Every stochastic decision in the repository draws from a *stats.RNG that
@@ -120,34 +120,7 @@ func (g *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*g.rnd.NormFloat64())
 }
 
-// Pareto samples a Pareto distribution with the given minimum value xm and
-// shape alpha. Smaller alpha means a heavier tail. It panics if xm <= 0 or
-// alpha <= 0.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		panic("stats: Pareto parameters must be positive")
-	}
-	u := g.rnd.Float64()
-	for u == 0 {
-		u = g.rnd.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Uniform samples uniformly from [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.rnd.Float64()
-}
-
-// TruncNormal samples N(mu, sigma^2) truncated to [lo, hi] by rejection,
-// falling back to clamping after a bounded number of attempts so that the
-// call always terminates.
-func (g *RNG) TruncNormal(mu, sigma, lo, hi float64) float64 {
-	for i := 0; i < 64; i++ {
-		x := mu + sigma*g.rnd.NormFloat64()
-		if x >= lo && x <= hi {
-			return x
-		}
-	}
-	return math.Min(hi, math.Max(lo, mu))
 }

@@ -101,35 +101,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	g := NewRNG(4)
-	for i := 0; i < 1000; i++ {
-		v := g.Pareto(2, 1.2)
-		if v < 2 {
-			t.Fatalf("Pareto sample %v below xm=2", v)
-		}
-	}
-}
-
-func TestTruncNormalBounds(t *testing.T) {
-	g := NewRNG(11)
-	for i := 0; i < 1000; i++ {
-		v := g.TruncNormal(50, 30, 0, 100)
-		if v < 0 || v > 100 {
-			t.Fatalf("TruncNormal out of bounds: %v", v)
-		}
-	}
-}
-
-func TestTruncNormalImpossibleWindowClamps(t *testing.T) {
-	g := NewRNG(11)
-	// Mean far outside the window: rejection will fail, expect clamping.
-	v := g.TruncNormal(1000, 0.001, 0, 1)
-	if v < 0 || v > 1 {
-		t.Fatalf("clamped TruncNormal out of bounds: %v", v)
-	}
-}
-
 func TestCategoricalFrequencies(t *testing.T) {
 	c := MustCategorical([]float64{1, 2, 7})
 	g := NewRNG(5)
@@ -317,25 +288,6 @@ func TestCDFEmptyIsSafe(t *testing.T) {
 	if !math.IsNaN(c.Median()) {
 		t.Error("empty CDF Median should be NaN")
 	}
-	if c.Points(5) != nil {
-		t.Error("empty CDF Points should be nil")
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
-	pts := c.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("got %d points, want 5", len(pts))
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("last point Y = %v, want 1", pts[len(pts)-1].Y)
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].Y < pts[i-1].Y {
-			t.Fatalf("points not monotone: %+v", pts)
-		}
-	}
 }
 
 func TestCDFMonotoneProperty(t *testing.T) {
@@ -428,23 +380,6 @@ func TestHistogramMergeShapeMismatch(t *testing.T) {
 	}
 	if err := a.Merge(nil); err != nil {
 		t.Errorf("merging nil should be a no-op, got %v", err)
-	}
-}
-
-func TestHistogramCDFPointsMonotone(t *testing.T) {
-	h := NewHistogram(0, 100, 20)
-	g := NewRNG(12)
-	for i := 0; i < 1000; i++ {
-		h.Add(g.Uniform(0, 100))
-	}
-	pts := h.CDFPoints()
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Y < pts[i-1].Y {
-			t.Fatalf("CDF points not monotone at %d", i)
-		}
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("final CDF point = %v, want 1", pts[len(pts)-1].Y)
 	}
 }
 

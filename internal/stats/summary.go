@@ -111,26 +111,6 @@ func (c *CDF) Max() float64 {
 	return c.sorted[len(c.sorted)-1]
 }
 
-// Points returns up to n (x, P(X<=x)) pairs spanning the sample, suitable
-// for plotting. The last point always has y == 1 when the CDF is non-empty.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(c.sorted) {
-		n = len(c.sorted)
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		idx := int(math.Round(float64(i) / float64(n-1) * float64(len(c.sorted)-1)))
-		if n == 1 {
-			idx = len(c.sorted) - 1
-		}
-		pts = append(pts, Point{X: c.sorted[idx], Y: float64(idx+1) / float64(len(c.sorted))})
-	}
-	return pts
-}
-
 // Point is an (x, y) pair on a curve.
 type Point struct {
 	X, Y float64
@@ -279,21 +259,6 @@ func (h *Histogram) Percentile(p float64) float64 {
 		}
 	}
 	return h.hi
-}
-
-// CDFPoints returns the empirical CDF at each bucket upper edge.
-func (h *Histogram) CDFPoints() []Point {
-	if h.total == 0 {
-		return nil
-	}
-	pts := make([]Point, 0, len(h.counts))
-	width := (h.hi - h.lo) / float64(len(h.counts))
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		pts = append(pts, Point{X: h.lo + float64(i+1)*width, Y: float64(cum) / float64(h.total)})
-	}
-	return pts
 }
 
 // At returns P(X <= x) estimated from the buckets.

@@ -63,11 +63,20 @@ func (r *Result) WriteJSON(w io.Writer) error {
 // DecodeJSON reads an export stream back into a Result. Scenario Apply
 // functions are not part of the export, so the decoded result carries the
 // scenario configurations and metrics — everything downstream consumers
-// (tables, plots, CI diffs) read — but cannot be re-run as a Matrix.
+// (tables, plots, CI diffs) read — but cannot be re-run as a Matrix. The
+// stream must hold exactly one export: anything but whitespace after it,
+// a second export included, is an error.
 func DecodeJSON(rd io.Reader) (*Result, error) {
 	e := envelope{Result: &Result{}}
-	if err := json.NewDecoder(rd).Decode(&e); err != nil {
+	dec := json.NewDecoder(rd)
+	if err := dec.Decode(&e); err != nil {
 		return nil, fmt.Errorf("sweep: decoding export: %w", err)
+	}
+	if tok, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = fmt.Errorf("unexpected %v", tok)
+		}
+		return nil, fmt.Errorf("sweep: decoding export: trailing data after the export: %w", err)
 	}
 	if e.FormatVersion != ExportFormatVersion {
 		return nil, fmt.Errorf("sweep: unsupported export format version %d (want %d)", e.FormatVersion, ExportFormatVersion)

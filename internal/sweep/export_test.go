@@ -128,6 +128,30 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData checks that an export must be the whole
+// stream: garbage after it, or a second export, fails the decode, while
+// trailing whitespace does not.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := plotFixture().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	export := buf.String()
+	if _, err := DecodeJSON(strings.NewReader(export + "\n\t \n")); err != nil {
+		t.Fatalf("export with trailing whitespace refused: %v", err)
+	}
+	for name, in := range map[string]string{
+		"garbage":     export + "garbage{\n",
+		"two exports": export + export,
+	} {
+		if _, err := DecodeJSON(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		} else if !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("%s: error %q does not name the trailing data", name, err)
+		}
+	}
+}
+
 // TestExportReliabilityColumnsRoundTrip pins the PR-7 export additions:
 // the five reliability metrics round-trip through WriteJSON/DecodeJSON
 // exactly, NaN values take the null path, and a faults-off replica (all

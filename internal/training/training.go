@@ -12,40 +12,6 @@ import (
 	"philly/internal/stats"
 )
 
-// CurveParams shape a synthetic loss curve. Losses follow a decaying
-// exponential toward a floor with multiplicative noise, which matches the
-// qualitative behaviour of SGD on non-convex objectives: mostly decreasing,
-// no guarantee that more training keeps improving (paper §4.1).
-type CurveParams struct {
-	// InitialLoss is the loss at epoch 0 (before training).
-	InitialLoss float64
-	// FloorLoss is the asymptotic best loss.
-	FloorLoss float64
-	// DecayRate controls how fast loss approaches the floor; the
-	// characteristic number of epochs is 1/DecayRate.
-	DecayRate float64
-	// NoiseSigma is the relative (multiplicative, log-normal) per-epoch
-	// noise. Noise is what makes the "lowest loss" epoch often be one of
-	// the last epochs even after the curve has plateaued.
-	NoiseSigma float64
-}
-
-// DefaultCurveParams returns parameters that reproduce Figure 8's shape:
-// ~80% of jobs need all epochs for the strict minimum, while ~75% reach
-// within 0.1% of the minimum using only ~40% of epochs.
-func DefaultCurveParams(g *stats.RNG) CurveParams {
-	initial := g.Uniform(1.5, 8)
-	floor := initial * g.Uniform(0.02, 0.25)
-	return CurveParams{
-		InitialLoss: initial,
-		FloorLoss:   floor,
-		// Characteristic decay within the first ~10-30% of a typical
-		// 20-100 epoch budget.
-		DecayRate:  g.Uniform(0.12, 0.5),
-		NoiseSigma: g.Uniform(0.0005, 0.004),
-	}
-}
-
 // Curve is a realized training-loss trajectory, one value per epoch (the
 // loss measured at the end of that epoch). Epochs are 1-based in reporting:
 // Losses[0] is the loss after the first epoch.
@@ -96,27 +62,6 @@ func SampleCurve(epochs int, g *stats.RNG) (Curve, error) {
 	for e := 0; e < epochs; e++ {
 		mean := floor + span*math.Exp(-k*float64(e+1))
 		losses[e] = mean * math.Exp(0.004*g.NormFloat64())
-	}
-	return Curve{Losses: losses}, nil
-}
-
-// GenerateCurve realizes a loss curve of n epochs from params using g.
-func GenerateCurve(params CurveParams, n int, g *stats.RNG) (Curve, error) {
-	if n <= 0 {
-		return Curve{}, fmt.Errorf("training: curve needs at least one epoch, got %d", n)
-	}
-	if params.InitialLoss <= params.FloorLoss {
-		return Curve{}, fmt.Errorf("training: initial loss %v must exceed floor %v", params.InitialLoss, params.FloorLoss)
-	}
-	if params.DecayRate <= 0 {
-		return Curve{}, fmt.Errorf("training: decay rate must be positive, got %v", params.DecayRate)
-	}
-	losses := make([]float64, n)
-	span := params.InitialLoss - params.FloorLoss
-	for e := 0; e < n; e++ {
-		mean := params.FloorLoss + span*math.Exp(-params.DecayRate*float64(e+1))
-		noise := math.Exp(params.NoiseSigma * g.NormFloat64())
-		losses[e] = mean * noise
 	}
 	return Curve{Losses: losses}, nil
 }
@@ -175,16 +120,6 @@ func (c Curve) FractionWithin(tol float64) float64 {
 	return float64(c.EpochWithin(tol)) / float64(len(c.Losses))
 }
 
-// Diverged reports whether the curve ends at a loss at least ratio times its
-// minimum — a stand-in for "model diverged" failures.
-func (c Curve) Diverged(ratio float64) bool {
-	if len(c.Losses) == 0 {
-		return false
-	}
-	_, best := c.BestEpoch()
-	return c.Losses[len(c.Losses)-1] > best*ratio
-}
-
 // Job describes the static training plan of one job: how much work it does
 // per epoch and how many epochs the user configured. Users typically
 // configure more epochs than necessary (paper §4.1).
@@ -221,22 +156,4 @@ func (j Job) Validate() error {
 // IdealRuntimeSeconds returns the total compute time with no slowdown.
 func (j Job) IdealRuntimeSeconds() float64 {
 	return float64(j.Epochs) * float64(j.MinibatchesPerEpoch) * j.BatchTime
-}
-
-// RuntimeSeconds returns the runtime given a throughput slowdown factor
-// (>= 1). A factor of 1.25 means iterations take 25% longer than ideal,
-// e.g. due to poor locality or interference.
-func (j Job) RuntimeSeconds(slowdown float64) float64 {
-	if slowdown < 1 {
-		slowdown = 1
-	}
-	return j.IdealRuntimeSeconds() * slowdown
-}
-
-// EpochSeconds returns the duration of one epoch under the slowdown factor.
-func (j Job) EpochSeconds(slowdown float64) float64 {
-	if slowdown < 1 {
-		slowdown = 1
-	}
-	return float64(j.MinibatchesPerEpoch) * j.BatchTime * slowdown
 }

@@ -397,7 +397,7 @@ func NewGenerator(cfg Config, g *stats.RNG) (*Generator, error) {
 
 	// Partition users across VCs proportional to quota (at least one per
 	// VC) and assign error-prone profiles.
-	gen.userZipf, err = stats.NewZipf(maxInt(1, cfg.NumUsers/len(cfg.VCs)), cfg.UserZipfS)
+	gen.userZipf, err = stats.NewZipf(max(1, cfg.NumUsers/len(cfg.VCs)), cfg.UserZipfS)
 	if err != nil {
 		return nil, err
 	}
@@ -408,7 +408,7 @@ func NewGenerator(cfg Config, g *stats.RNG) (*Generator, error) {
 	userID := 0
 	gen.usersByVC = make([][]string, len(cfg.VCs))
 	for i, vc := range cfg.VCs {
-		n := maxInt(1, cfg.NumUsers*vc.QuotaGPUs/totalQuota)
+		n := max(1, cfg.NumUsers*vc.QuotaGPUs/totalQuota)
 		for u := 0; u < n; u++ {
 			name := fmt.Sprintf("user%03d", userID)
 			userID++
@@ -419,13 +419,6 @@ func NewGenerator(cfg Config, g *stats.RNG) (*Generator, error) {
 		}
 	}
 	return gen, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Planner exposes the failure planner (the driver needs it for log
@@ -606,33 +599,4 @@ func planTraining(runtimeMin float64, g *stats.RNG) training.Job {
 // plans for observed jobs whose traces record only total runtime.
 func TrainingPlanFor(runtimeMin float64, g *stats.RNG) training.Job {
 	return planTraining(runtimeMin, g)
-}
-
-// TotalQuota sums the VC quotas.
-func TotalQuota(vcs []VirtualCluster) int {
-	t := 0
-	for _, vc := range vcs {
-		t += vc.QuotaGPUs
-	}
-	return t
-}
-
-// ScaledConfig returns a copy of DefaultConfig shrunk by factor k (jobs and
-// duration divided by k) for tests and examples. The VC set and
-// distributions are unchanged, so load intensity is preserved.
-func ScaledConfig(k int) Config {
-	cfg := DefaultConfig()
-	if k <= 1 {
-		return cfg
-	}
-	cfg.TotalJobs = maxInt(100, cfg.TotalJobs/k)
-	cfg.Duration = simulation.Time(maxInt64(int64(simulation.Day), int64(cfg.Duration)/int64(k)))
-	return cfg
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

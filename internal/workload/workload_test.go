@@ -271,25 +271,6 @@ func TestVCLoadProportionalToQuota(t *testing.T) {
 	}
 }
 
-func TestScaledConfig(t *testing.T) {
-	c := ScaledConfig(10)
-	if c.TotalJobs >= DefaultConfig().TotalJobs {
-		t.Error("scaling did not reduce jobs")
-	}
-	if err := c.Validate(); err != nil {
-		t.Errorf("scaled config invalid: %v", err)
-	}
-	if got := ScaledConfig(0).TotalJobs; got != DefaultConfig().TotalJobs {
-		t.Errorf("k<=1 should return default, got %d jobs", got)
-	}
-}
-
-func TestTotalQuota(t *testing.T) {
-	if got := TotalQuota([]VirtualCluster{{QuotaGPUs: 3}, {QuotaGPUs: 4}}); got != 7 {
-		t.Errorf("TotalQuota = %d", got)
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	run := func() []JobSpec {
 		g := stats.NewRNG(42)

@@ -3,6 +3,7 @@ package philly_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"runtime"
@@ -157,26 +158,68 @@ func TestRunFederatedFacade(t *testing.T) {
 }
 
 // Golden output of TestStudyOutputGolden's study: the sha256 of its jobs
-// CSV followed by its trace JSON, and the math.Float64bits of its
-// telemetry means All, AllByStatus(Passed, Killed, Unsuccessful), HostCPU
-// and HostMem, in that order.
-const goldenExportSHA256 = "3f48524241481532f0e38575084d1cd7f932a409406a5eb352f615c018719bfd"
+// CSV followed by its trace JSON, with AdaptiveRetry off and on, and the
+// math.Float64bits of its telemetry means All, AllByStatus(Passed, Killed,
+// Unsuccessful), HostCPU and HostMem, in that order, with AdaptiveRetry
+// off.
+var goldenExportSHA256 = [2]string{
+	"3f48524241481532f0e38575084d1cd7f932a409406a5eb352f615c018719bfd",
+	"f1c696e96b30d90af4e9e51b9eacab0ca1803584e1448f62449eaf7f0a8daa18",
+}
 
 var goldenMeanBits = [...]uint64{
 	0x404cd8c4b61857b9, 0x404d24e33919e64d, 0x4047a262d8571345,
 	0x4052c817d7f70315, 0x402037edbd2ac166, 0x40425206fde40867,
 }
 
-// TestStudyOutputGolden pins one study's output bits — the trace export
-// and the telemetry float sums, which depend on the order the telemetry
-// walk folds samples in — against constants, on the sequential engine and
-// on four workers with per-VC event sharding. The invariance tests compare
-// execution shapes with each other; this test catches a change that moves
-// every shape the same way, such as a new fold order. The study is
-// SmallConfig with servers and VC quotas tripled, 1,000 jobs over a
-// quarter of the duration: 117 servers and a peak running set above 64
-// jobs, every sample folded into the recorder's one histogram set in the
-// tick's order (running jobs, then servers).
+// goldenEndSHA256 is outcomeDigest of the same study with AdaptiveRetry
+// off and on: what each episode end decided, which the exports carry only
+// in part (they omit Convergence).
+var goldenEndSHA256 = [2]string{
+	"4142ff1e0345b3465cdf9ab2a9fa80dd2207c34f97ebec4a5fba6f74d099628c",
+	"f56471b06788347ddc384a14d770252bb3e71f9bf5c079a3e38b40c67d946790",
+}
+
+// outcomeDigest hashes, in job order, each job's Convergence (a marker
+// byte when it is nil, else EpochsRun and the float bits of both
+// fractions) and each attempt's ClassifiedReason.
+func outcomeDigest(res *philly.StudyResult) string {
+	h := sha256.New()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for i := range res.Jobs {
+		j := &res.Jobs[i]
+		if c := j.Convergence; c == nil {
+			h.Write([]byte{0})
+		} else {
+			h.Write([]byte{1})
+			put(uint64(c.EpochsRun))
+			put(math.Float64bits(c.FractionForLowest))
+			put(math.Float64bits(c.FractionWithinTenth))
+		}
+		put(uint64(len(j.Attempts)))
+		for _, a := range j.Attempts {
+			put(uint64(len(a.ClassifiedReason)))
+			h.Write([]byte(a.ClassifiedReason))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestStudyOutputGolden pins one study's output bits — the trace export,
+// what each episode end decided (outcomeDigest), and the telemetry float
+// sums, which depend on the order the telemetry walk folds samples in —
+// against constants, on the sequential engine and on four workers with
+// per-VC event sharding, with AdaptiveRetry off and on. The invariance
+// tests compare execution shapes with each other; this test catches a
+// change that moves every shape the same way, such as a new fold order.
+// The study is SmallConfig with servers and VC quotas tripled, 1,000 jobs
+// over a quarter of the duration: 117 servers and a peak running set above
+// 64 jobs, every sample folded into the recorder's one histogram set in
+// the tick's order (running jobs, then servers).
 //
 // The constants change only with a deliberate output-contract change.
 // To re-record them, run
@@ -184,8 +227,8 @@ var goldenMeanBits = [...]uint64{
 //	go test -run TestStudyOutputGolden .
 //
 // and copy the got values from the failure messages into
-// goldenExportSHA256 and goldenMeanBits. amd64 only: other architectures
-// may fuse multiply-adds and round differently.
+// goldenExportSHA256, goldenEndSHA256 and goldenMeanBits. amd64 only:
+// other architectures may fuse multiply-adds and round differently.
 func TestStudyOutputGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden float bits are recorded on amd64, not %s", runtime.GOARCH)
@@ -208,36 +251,45 @@ func TestStudyOutputGolden(t *testing.T) {
 		{"parallel-4", func(c philly.Config) (*philly.StudyResult, error) { return philly.RunParallel(c, 4) }},
 	}
 	for _, r := range runs {
-		res, err := r.run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := philly.NewTrace(res)
-		h := sha256.New()
-		if err := tr.WriteJobsCSV(h); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.WriteJSON(h); err != nil {
-			t.Fatal(err)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenExportSHA256 {
-			t.Errorf("%s: export sha256 = %q, want %q", r.name, got, goldenExportSHA256)
-		}
-		tel := res.Telemetry
-		means := [len(goldenMeanBits)]float64{
-			tel.All().Mean(),
-			tel.AllByStatus(failures.Passed).Mean(),
-			tel.AllByStatus(failures.Killed).Mean(),
-			tel.AllByStatus(failures.Unsuccessful).Mean(),
-			tel.HostCPU().Mean(),
-			tel.HostMem().Mean(),
-		}
-		var got [len(goldenMeanBits)]uint64
-		for i, m := range means {
-			got[i] = math.Float64bits(m)
-		}
-		if got != goldenMeanBits {
-			t.Errorf("%s: telemetry mean bits = %#v, want %#v", r.name, got, goldenMeanBits)
+		for a, adaptive := range []bool{false, true} {
+			cfg.AdaptiveRetry = adaptive
+			res, err := r.run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := philly.NewTrace(res)
+			h := sha256.New()
+			if err := tr.WriteJobsCSV(h); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.WriteJSON(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != goldenExportSHA256[a] {
+				t.Errorf("%s adaptive=%v: export sha256 = %q, want %q", r.name, adaptive, got, goldenExportSHA256[a])
+			}
+			if got := outcomeDigest(res); got != goldenEndSHA256[a] {
+				t.Errorf("%s adaptive=%v: outcome digest = %q, want %q", r.name, adaptive, got, goldenEndSHA256[a])
+			}
+			if adaptive {
+				continue
+			}
+			tel := res.Telemetry
+			means := [len(goldenMeanBits)]float64{
+				tel.All().Mean(),
+				tel.AllByStatus(failures.Passed).Mean(),
+				tel.AllByStatus(failures.Killed).Mean(),
+				tel.AllByStatus(failures.Unsuccessful).Mean(),
+				tel.HostCPU().Mean(),
+				tel.HostMem().Mean(),
+			}
+			var got [len(goldenMeanBits)]uint64
+			for i, m := range means {
+				got[i] = math.Float64bits(m)
+			}
+			if got != goldenMeanBits {
+				t.Errorf("%s: telemetry mean bits = %#v, want %#v", r.name, got, goldenMeanBits)
+			}
 		}
 	}
 }
